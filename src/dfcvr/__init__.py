@@ -23,6 +23,7 @@ from .data import (
     reversal_set,
     save_csv,
     temporal_split,
+    window_split,
 )
 from .errors import ConfigError, DataFormatError, DfcvrError, NumericalError
 from .harness import (
@@ -121,4 +122,5 @@ __all__ = [
     "sq_solve",
     "temporal_split",
     "train",
+    "window_split",
 ]

@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import influence, metrics, models, solvers
 from .data import (
+    Dataset,
     Observed,
     Oracle,
     Retrain,
@@ -25,7 +26,7 @@ from .data import (
     load_csv,
     reversal_set,
     save_csv,
-    temporal_split,
+    window_split,
 )
 from .errors import ConfigError, DataFormatError, DfcvrError, NumericalError
 from .harness import (
@@ -107,8 +108,7 @@ def _build_parser() -> _Parser:
                          "(default: t)")
     up.add_argument("--include-add", action="store_true",
                     help="also integrate samples arriving in [t, t_prime)")
-    up.add_argument("--solver", choices=("cg", "neumann", "sq"),
-                    default="sq")
+    up.add_argument("--solver", choices=tuple(solvers.SOLVERS), default="sq")
     up.add_argument("--damping", type=float, default=1e-3)
     up.add_argument("--tol", type=float, default=None,
                     help="relative-residual tolerance")
@@ -148,7 +148,7 @@ def _build_parser() -> _Parser:
         proto.add_argument("--methods", default=None,
                            help="override methods, comma-separated")
         proto.add_argument("--solver", default=None,
-                           choices=("cg", "neumann", "sq"))
+                           choices=tuple(solvers.SOLVERS))
         proto.add_argument("--n", type=int, default=None,
                            help="override the synthetic sample count")
     return parser
@@ -162,14 +162,9 @@ def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # The generate flags are named after the SyntheticConfig fields.
     config = SyntheticConfig(
-        n=args.n,
-        feature_dim=args.feature_dim,
-        target_cvr=args.target_cvr,
-        delay_mean_tau=args.delay_mean_tau,
-        horizon=args.horizon,
-        drift_angle_per_day=args.drift_angle_per_day,
-        seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)}
     )
     save_csv(generate_synthetic(config), args.out)
     print(f"wrote {args.n} samples to {args.out}")
@@ -194,15 +189,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "retrain": Retrain(args.t_prime),
         "oracle": Oracle(),
     }
-    train_full, _, _ = temporal_split(dataset, args.t, args.t_prime,
-                                      args.d_test)
-    border = args.t - args.d_test
-    core_idx = np.flatnonzero(train_full.click_ts < border)
-    fit_idx = np.flatnonzero(train_full.click_ts >= border)
-    if core_idx.size == 0 or fit_idx.size == 0:
-        raise ConfigError(
-            "training window cannot be split into core and validation days"
-        )
+    splits = window_split(dataset, args.t, args.t_prime, args.d_test)
     spec = _model_spec(args, dataset.feature_dim)
     config = TrainConfig(
         batch_size=args.batch_size,
@@ -212,11 +199,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     params = train(
-        train_full.subset(core_idx),
+        splits.core,
         views[args.method],
         spec,
         config,
-        train_full.subset(fit_idx),
+        splits.fit_valid,
         metrics_log_path=args.metrics_log,
     )
     models.save_checkpoint(args.out, spec, params)
@@ -224,9 +211,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_update(args: argparse.Namespace) -> int:
+def _load_model_and_data(
+    args: argparse.Namespace,
+) -> tuple[models.ModelSpec, np.ndarray, Dataset]:
+    """The checkpoint and the CSV log, checked to fit each other."""
     spec, params = models.load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
+    if dataset.feature_dim != spec.input_dim:
+        raise DataFormatError(
+            f"{args.data} has {dataset.feature_dim} feature columns, but the "
+            f"model in {args.checkpoint} takes {spec.input_dim}"
+        )
+    return spec, params, dataset
+
+
+def _emit(payload: dict, report_path: str | None) -> None:
+    """Print ``payload`` as JSON, and also write it to ``report_path``."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    if report_path is not None:
+        with open(report_path, "w") as fh:
+            fh.write(text + "\n")
+
+
+def _cmd_update(args: argparse.Namespace) -> int:
+    spec, params, dataset = _load_model_and_data(args)
     train_end = args.t if args.train_end is None else args.train_end
     if not 0 < train_end <= args.t:
         raise ConfigError("train-end must lie in (0, t]")
@@ -264,18 +273,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
                                    request)
     updated = influence.apply_update(params, report)
     models.save_checkpoint(args.out, spec, updated)
-    payload = report.to_json_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(report.to_json_dict(), args.report)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    spec, params = models.load_checkpoint(args.checkpoint)
-    dataset = load_csv(args.data)
+    spec, params, dataset = _load_model_and_data(args)
     clicks = dataset.click_ts
     idx = np.flatnonzero(
         (clicks >= args.t_prime) & (clicks < args.t_prime + args.d_test)
@@ -285,12 +288,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     test = dataset.subset(idx)
     scores = models.predict(spec, params, test.features)
     mm = metrics.compute_method_metrics(scores, labels_of(test, Oracle()))
-    payload = mm.to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(mm.to_dict(), args.report)
     return 0
 
 

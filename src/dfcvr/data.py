@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,6 @@ class Dataset:
         if n and click_ts.min() < 0:
             raise ValueError("click_ts must be non-negative")
         has_pay = pay_ts != PAY_TS_MISSING
-        if np.any(pay_ts[~has_pay] != PAY_TS_MISSING):
-            raise ValueError("missing pay_ts must use the -1 sentinel")
         if np.any(pay_ts[has_pay] < click_ts[has_pay]):
             raise ValueError("pay_ts precedes click_ts for some samples")
         for arr in (features, click_ts, pay_ts):
@@ -200,6 +199,39 @@ def temporal_split(
             raise ConfigError(f"{name} split is empty for the given windows")
         out.append(dataset.subset(idx))
     return out[0], out[1], out[2]
+
+
+class WindowSplit(NamedTuple):
+    """Training windows carved from a log, as built by :func:`window_split`."""
+
+    core: Dataset
+    fit_valid: Dataset
+    valid: Dataset
+    test: Dataset
+
+
+def window_split(
+    dataset: Dataset, t: Timestamp, t_prime: Timestamp, d_test: int
+) -> WindowSplit:
+    """:func:`temporal_split`, with its training window cut in two.
+
+    ``core`` is ``[0, t - d_test)`` and ``fit_valid`` is ``[t - d_test,
+    t)``. Models train on the core and early-stop on fit-valid: the
+    post-cutoff ``valid`` window cannot serve a stale view, since none of
+    its clicks can have converted before ``t``. ``valid`` and ``test`` are
+    the windows of :func:`temporal_split`.
+    """
+    train_full, valid, test = temporal_split(dataset, t, t_prime, d_test)
+    border = t - d_test
+    core_idx = np.flatnonzero(train_full.click_ts < border)
+    fit_idx = np.flatnonzero(train_full.click_ts >= border)
+    if core_idx.size == 0 or fit_idx.size == 0:
+        raise ConfigError(
+            "training window cannot be split into core and validation days"
+        )
+    return WindowSplit(
+        train_full.subset(core_idx), train_full.subset(fit_idx), valid, test
+    )
 
 
 def reversal_set(
@@ -349,7 +381,11 @@ def load_csv(path: str) -> Dataset:
     Errors name the offending 1-based line number. Loading what save_csv
     wrote reproduces the dataset exactly.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

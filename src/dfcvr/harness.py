@@ -8,19 +8,20 @@ samples) against a full retrain reference. The timing protocol measures
 update cost versus training cost across dataset sizes.
 
 Every method validates on the last pre-cutoff day under its own label
-view. The canonical post-cutoff validation window cannot serve the stale
-view: clicks there cannot have converted before the training cutoff, so
-their observed labels are all zero.
+view; :func:`dfcvr.data.window_split` says why.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,14 +32,15 @@ from .data import (
     Oracle,
     Retrain,
     SyntheticConfig,
+    WindowSplit,
     arrival_set,
     generate_synthetic,
     labels_of,
     load_csv,
     reversal_set,
-    temporal_split,
+    window_split,
 )
-from .errors import ConfigError, DfcvrError
+from .errors import ConfigError, DataFormatError, DfcvrError
 from .training import TrainConfig, train
 
 SCHEMA_VERSION = 1
@@ -97,7 +99,7 @@ class ExperimentConfig:
                 )
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.solver not in ("cg", "neumann", "sq"):
+        if self.solver not in solvers.SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.damping < 0:
             raise ConfigError("damping must be non-negative")
@@ -106,247 +108,123 @@ class ExperimentConfig:
         self.train.validate()
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.data, SyntheticConfig):
-            data: Any = {
-                "n": self.data.n,
-                "feature_dim": self.data.feature_dim,
-                "target_cvr": self.data.target_cvr,
-                "delay_mean_tau": self.data.delay_mean_tau,
-                "horizon": self.data.horizon,
-                "drift_angle_per_day": self.data.drift_angle_per_day,
-                "seed": self.data.seed,
-            }
-        else:
-            data = {"csv": self.data}
-        model: dict[str, Any] = {"l2_coeff": self.model.l2_coeff,
-                                 "input_dim": self.model.input_dim}
-        if isinstance(self.model, models.Mlp):
-            model["kind"] = "mlp"
-            model["hidden_dims"] = list(self.model.hidden_dims)
-        else:
-            model["kind"] = "logreg"
-        solver_config = None
-        if self.solver_config is not None:
-            sc = self.solver_config
-            solver_config = {
-                "tol_rel_residual": sc.tol_rel_residual,
-                "max_iters": sc.max_iters,
-                "max_epochs": sc.max_epochs,
-                "minibatch_size": sc.minibatch_size,
-                "learning_rate": sc.learning_rate,
-                "neumann_terms": sc.neumann_terms,
-                "neumann_scale": sc.neumann_scale,
-                "seed": sc.seed,
-            }
-        return {
-            "data": data,
-            "t": self.t,
-            "t_prime": self.t_prime,
-            "d_test": self.d_test,
-            "model": model,
-            "train": {
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "max_epochs": self.train.max_epochs,
-                "early_stop_patience": self.train.early_stop_patience,
-                "seed": self.train.seed,
-                "l2_coeff": self.train.l2_coeff,
-            },
-            "methods": list(self.methods),
-            "seeds": list(self.seeds),
-            "solver": self.solver,
-            "solver_config": solver_config,
-            "damping": self.damping,
-            "timing_sizes": list(self.timing_sizes),
-            "output_dir": self.output_dir,
-        }
+        out = _to_json(self)
+        if isinstance(self.data, str):
+            out["data"] = {"csv": self.data}
+        return out
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
-        def take(d: dict, allowed: set[str], where: str) -> None:
-            unknown = set(d) - allowed
-            if unknown:
-                raise ConfigError(
-                    f"unknown {where} keys: {', '.join(sorted(unknown))}"
-                )
-
-        take(raw, {
-            "data", "t", "t_prime", "d_test", "model", "train", "methods",
-            "seeds", "solver", "solver_config", "damping", "timing_sizes",
-            "output_dir",
-        }, "config")
         try:
-            raw_data = raw["data"]
-            if isinstance(raw_data, str):
-                data: SyntheticConfig | str = raw_data
-            elif "csv" in raw_data:
-                take(raw_data, {"csv"}, "data")
-                data = str(raw_data["csv"])
-            else:
-                take(raw_data, {
-                    "n", "feature_dim", "target_cvr", "delay_mean_tau",
-                    "horizon", "drift_angle_per_day", "seed",
-                }, "data")
-                data = SyntheticConfig(
-                    n=int(raw_data["n"]),
-                    feature_dim=int(raw_data["feature_dim"]),
-                    target_cvr=float(raw_data["target_cvr"]),
-                    delay_mean_tau=float(raw_data["delay_mean_tau"]),
-                    horizon=int(raw_data["horizon"]),
-                    drift_angle_per_day=float(
-                        raw_data.get("drift_angle_per_day", 0.0)
-                    ),
-                    seed=int(raw_data.get("seed", 0)),
-                )
-            raw_model = dict(raw["model"])
-            take(raw_model, {"kind", "input_dim", "hidden_dims", "l2_coeff"},
-                 "model")
-            input_dim = raw_model.get("input_dim")
-            if input_dim is None and isinstance(data, SyntheticConfig):
-                input_dim = data.feature_dim
-            if input_dim is None:
-                raise ConfigError("model.input_dim is required for CSV data")
-            l2 = float(raw_model.get("l2_coeff", 0.0))
-            if raw_model.get("kind", "mlp") == "logreg":
-                model: models.ModelSpec = models.LogisticRegression(
-                    input_dim=int(input_dim), l2_coeff=l2
-                )
-            elif raw_model.get("kind", "mlp") == "mlp":
-                model = models.Mlp(
-                    input_dim=int(input_dim),
-                    hidden_dims=tuple(
-                        int(h) for h in raw_model.get("hidden_dims",
-                                                      (256, 256, 128))
-                    ),
-                    l2_coeff=l2,
-                )
-            else:
-                raise ConfigError(
-                    f"unknown model kind {raw_model.get('kind')!r}"
-                )
-            raw_train = dict(raw.get("train", {}))
-            take(raw_train, {
-                "batch_size", "learning_rate", "max_epochs",
-                "early_stop_patience", "seed", "l2_coeff",
-            }, "train")
-            train_cfg = TrainConfig(
-                batch_size=int(raw_train.get("batch_size", 1024)),
-                learning_rate=float(raw_train.get("learning_rate", 1e-3)),
-                max_epochs=int(raw_train.get("max_epochs", 30)),
-                early_stop_patience=int(
-                    raw_train.get("early_stop_patience", 5)
-                ),
-                seed=int(raw_train.get("seed", 0)),
-                l2_coeff=(
-                    None if raw_train.get("l2_coeff") is None
-                    else float(raw_train["l2_coeff"])
-                ),
-            )
-            raw_sc = raw.get("solver_config")
-            solver_config = None
-            if raw_sc is not None:
-                take(dict(raw_sc), {
-                    "tol_rel_residual", "max_iters", "max_epochs",
-                    "minibatch_size", "learning_rate", "neumann_terms",
-                    "neumann_scale", "seed",
-                }, "solver_config")
-                defaults = solvers.SolverConfig()
-                solver_config = solvers.SolverConfig(
-                    tol_rel_residual=float(
-                        raw_sc.get("tol_rel_residual",
-                                   defaults.tol_rel_residual)
-                    ),
-                    max_iters=int(raw_sc.get("max_iters",
-                                             defaults.max_iters)),
-                    max_epochs=int(raw_sc.get("max_epochs",
-                                              defaults.max_epochs)),
-                    minibatch_size=int(
-                        raw_sc.get("minibatch_size", defaults.minibatch_size)
-                    ),
-                    learning_rate=float(
-                        raw_sc.get("learning_rate", defaults.learning_rate)
-                    ),
-                    neumann_terms=int(
-                        raw_sc.get("neumann_terms", defaults.neumann_terms)
-                    ),
-                    neumann_scale=(
-                        None if raw_sc.get("neumann_scale") is None
-                        else float(raw_sc["neumann_scale"])
-                    ),
-                    seed=int(raw_sc.get("seed", defaults.seed)),
-                )
-            config = cls(
-                data=data,
-                t=int(raw["t"]),
-                t_prime=int(raw["t_prime"]),
-                d_test=int(raw["d_test"]),
-                model=model,
-                train=train_cfg,
-                methods=tuple(raw.get("methods",
-                                      ("vanilla", "retrain", "ifdfm"))),
-                seeds=tuple(int(s) for s in raw.get("seeds", (0,))),
-                solver=str(raw.get("solver", "sq")),
-                solver_config=solver_config,
-                damping=float(raw.get("damping", 1e-3)),
-                timing_sizes=tuple(
-                    int(s) for s in raw.get("timing_sizes",
-                                            (25_000, 50_000, 100_000))
-                ),
-                output_dir=raw.get("output_dir"),
-            )
+            data = _data_from_json(raw["data"])
+            config = _from_json(cls, raw, "config", data=data,
+                                model=_model_from_json(raw["model"], data))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from None
         config.validate()
         return config
 
 
+# The JSON codec for experiment configs. Every block is a dataclass read
+# field by field: keys it does not declare are rejected, absent keys take
+# the field default, and values are coerced to the annotated types.
+
+
+def _to_json(value: Any) -> Any:
+    """JSON form of a config value.
+
+    Dataclasses become objects keyed by field name, model specs their
+    checkpoint header, and tuples lists.
+    """
+    if isinstance(value, models.ModelSpec):
+        return models._spec_header(value)
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _check_keys(raw: dict, allowed: Iterable[str], where: str) -> None:
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} keys: {', '.join(sorted(unknown))}"
+        )
+
+
+def _from_json(cls: type, raw: dict, where: str, **given: Any) -> Any:
+    """Dataclass ``cls`` from its JSON object ``raw``.
+
+    ``given`` holds fields already decoded by the caller.
+    """
+    _check_keys(raw, (f.name for f in fields(cls)), where)
+    hints = get_type_hints(cls)
+    decoded = {k: _coerce(hints[k], v, k)
+               for k, v in raw.items() if k not in given}
+    return cls(**decoded, **given)
+
+
+def _coerce(tp: Any, value: Any, where: str) -> Any:
+    """``value`` as annotated type ``tp``: a dataclass, ``X | None``,
+    ``tuple[X, ...]`` or a scalar type."""
+    if is_dataclass(tp):
+        return _from_json(tp, value, where)
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _coerce(inner, value, where)
+    if get_origin(tp) is tuple:
+        return tuple(_coerce(args[0], v, where) for v in value)
+    return tp(value)
+
+
+def _data_from_json(raw: Any) -> SyntheticConfig | str:
+    """Synthetic settings, or a CSV path given bare or as ``{"csv": path}``."""
+    if isinstance(raw, str):
+        return raw
+    if "csv" in raw:
+        _check_keys(raw, ("csv",), "data")
+        return str(raw["csv"])
+    return _from_json(SyntheticConfig, raw, "data")
+
+
+# Model header fields a config may leave out; ``input_dim`` defaults to
+# the synthetic feature dimension.
+_MODEL_DEFAULTS = {"kind": "mlp", "hidden_dims": (256, 256, 128),
+                   "l2_coeff": 0.0}
+
+
+def _model_from_json(raw: dict, data: SyntheticConfig | str):
+    header = {**_MODEL_DEFAULTS, **raw}
+    _check_keys(header, ("kind", *(f.name for f in fields(models.Mlp))),
+                "model")
+    if header.get("input_dim") is None:
+        if not isinstance(data, SyntheticConfig):
+            raise ConfigError("model.input_dim is required for CSV data")
+        header["input_dim"] = data.feature_dim
+    try:
+        return models.spec_from_header(header)
+    except DataFormatError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+@contextlib.contextmanager
 def _stage(name: str):
-    """Context manager attaching the failing stage to package errors."""
-
-    class _Stage:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, DfcvrError):
-                if not getattr(exc, "stage", None):
-                    exc.stage = name
-            return False
-
-    return _Stage()
-
-
-@dataclass
-class _Splits:
-    core: Dataset
-    fit_valid: Dataset
-    valid: Dataset
-    test: Dataset
+    """Attach the failing stage to package errors raised inside."""
+    try:
+        yield
+    except DfcvrError as exc:
+        if not getattr(exc, "stage", None):
+            exc.stage = name
+        raise
 
 
 def _load_data(config: ExperimentConfig) -> Dataset:
     if isinstance(config.data, SyntheticConfig):
         return generate_synthetic(config.data)
     return load_csv(config.data)
-
-
-def _split(config: ExperimentConfig, dataset: Dataset) -> _Splits:
-    train_full, valid, test = temporal_split(
-        dataset, config.t, config.t_prime, config.d_test
-    )
-    border = config.t - config.d_test
-    core_idx = np.flatnonzero(train_full.click_ts < border)
-    fit_idx = np.flatnonzero(train_full.click_ts >= border)
-    if core_idx.size == 0 or fit_idx.size == 0:
-        raise ConfigError(
-            "training window cannot be split into core and validation days"
-        )
-    return _Splits(
-        core=train_full.subset(core_idx),
-        fit_valid=train_full.subset(fit_idx),
-        valid=valid,
-        test=test,
-    )
 
 
 def _effective_spec(config: ExperimentConfig) -> models.ModelSpec:
@@ -357,7 +235,7 @@ def _effective_spec(config: ExperimentConfig) -> models.ModelSpec:
 
 def _train_baseline(
     config: ExperimentConfig,
-    splits: _Splits,
+    splits: WindowSplit,
     method: str,
     seed: int,
 ) -> tuple[np.ndarray, float]:
@@ -376,7 +254,7 @@ def _train_baseline(
 
 def _influence_update(
     config: ExperimentConfig,
-    splits: _Splits,
+    splits: WindowSplit,
     dataset: Dataset,
     theta: np.ndarray,
     include_add: bool,
@@ -409,30 +287,22 @@ def _evaluate(
 
 
 def _aggregate(per_seed: list[dict]) -> dict:
-    """Mean and variance of every per-method metric and RI across seeds."""
-    method_names = list(per_seed[0]["methods"])
-    metric_names = ("auc", "prauc", "log_loss")
-    mean: dict[str, Any] = {"methods": {}, "ri": {}}
-    variance: dict[str, Any] = {"methods": {}, "ri": {}}
-    for m in method_names:
-        mean["methods"][m] = {}
-        variance["methods"][m] = {}
-        for k in metric_names:
-            vals = np.array([s["methods"][m][k] for s in per_seed])
-            mean["methods"][m][k] = float(vals.mean())
-            variance["methods"][m][k] = float(vals.var())
-    for m in per_seed[0]["ri"]:
-        mean["ri"][m] = {}
-        variance["ri"][m] = {}
-        for k in metric_names:
-            vals = [s["ri"][m][k] for s in per_seed]
-            known = [v for v in vals if v is not None]
-            if known:
-                mean["ri"][m][k] = float(np.mean(known))
-                variance["ri"][m][k] = float(np.var(known))
-            else:
-                mean["ri"][m][k] = None
-                variance["ri"][m][k] = None
+    """Mean and variance of every per-method metric and RI across seeds.
+
+    RI values that are None are left out; a metric with no known value
+    aggregates to None.
+    """
+    mean: dict[str, Any] = {}
+    variance: dict[str, Any] = {}
+    for part in ("methods", "ri"):
+        mean[part], variance[part] = {}, {}
+        for m, first in per_seed[0][part].items():
+            mean[part][m], variance[part][m] = {}, {}
+            for k in first:
+                known = [s[part][m][k] for s in per_seed
+                         if s[part][m][k] is not None]
+                mean[part][m][k] = float(np.mean(known)) if known else None
+                variance[part][m][k] = float(np.var(known)) if known else None
     return {"mean": mean, "variance": variance}
 
 
@@ -510,7 +380,8 @@ def run_offline(config: ExperimentConfig) -> dict:
     config.validate()
     with _stage("data"):
         dataset = _load_data(config)
-        splits = _split(config, dataset)
+        splits = window_split(dataset, config.t, config.t_prime,
+                              config.d_test)
     methods = list(config.methods)
     need_vanilla = bool(
         {"vanilla", "ifdfm", "ifdfm_wo_add"} & set(methods)
@@ -585,7 +456,8 @@ def run_online(config: ExperimentConfig) -> dict:
     config.validate()
     with _stage("data"):
         dataset = _load_data(config)
-        splits = _split(config, dataset)
+        splits = window_split(dataset, config.t, config.t_prime,
+                              config.d_test)
     per_seed = []
     for seed in config.seeds:
         method_metrics: dict[str, metrics.MethodMetrics] = {}
@@ -665,7 +537,8 @@ def run_timing(config: ExperimentConfig) -> dict:
         sized = replace(config.data, n=size)
         with _stage("data"):
             dataset = generate_synthetic(sized)
-            splits = _split(config, dataset)
+            splits = window_split(dataset, config.t, config.t_prime,
+                                  config.d_test)
         with _stage("train vanilla"):
             vanilla_params, train_s = _train_baseline(
                 config, splits, "vanilla", seed
@@ -705,25 +578,26 @@ def run_timing(config: ExperimentConfig) -> dict:
 
 
 def compare_solvers(config: ExperimentConfig) -> dict:
-    """Run all three solvers on one shared system and record their traces.
+    """Run every registered solver on one shared system; record the traces.
 
     Trains the vanilla model once, builds the label-reversal right-hand
-    side, and solves the same damped system with cg, neumann and sq.
-    Solver failures are recorded per solver instead of aborting the
-    comparison.
+    side, and solves the same damped system with each kind in
+    ``solvers.SOLVERS``, at its default settings unless the config sets
+    ``solver_config``. Solver failures are recorded per solver instead of
+    aborting the comparison.
     """
     config.validate()
     seed = config.seeds[0]
     with _stage("data"):
         dataset = _load_data(config)
-        splits = _split(config, dataset)
+        splits = window_split(dataset, config.t, config.t_prime,
+                              config.d_test)
     with _stage("train vanilla"):
         theta, _ = _train_baseline(config, splits, "vanilla", seed)
     spec = _effective_spec(config)
     view = Observed(config.t)
     request = influence.InfluenceRequest(
         reversal_indices=reversal_set(splits.core, config.t, config.t_prime),
-        solver="sq",
         damping=config.damping,
     )
     rhs = influence.build_rhs(spec, theta, splits.core, view, request)
@@ -733,20 +607,9 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     )
     summary: dict[str, Any] = {}
     traces: dict[str, list[float]] = {}
-    for kind in ("cg", "neumann", "sq"):
-        solver_config = config.solver_config
-        if solver_config is None:
-            solver_config = solvers.default_solver_config(kind)
+    for kind in solvers.SOLVERS:
         try:
-            if kind == "cg":
-                result = solvers.cg_solve(operator, rhs.b, solver_config)
-            elif kind == "neumann":
-                result = solvers.neumann_solve(operator, rhs.b, solver_config)
-            else:
-                result = solvers.sq_solve(
-                    solvers.QuadraticObjective(operator, rhs.b),
-                    solver_config,
-                )
+            result = solvers.solve(kind, operator, rhs.b, config.solver_config)
         except solvers.SolverError as exc:
             summary[kind] = {"error": str(exc)}
             traces[kind] = []

@@ -31,8 +31,9 @@ class InfluenceRequest:
 
     ``reversal_indices`` index the training dataset; ``arrivals`` is an
     optional (dataset, labels) pair of post-cutoff samples. Either
-    correction can be toggled off. ``solver`` selects cg, neumann or sq;
-    a None ``solver_config`` uses that solver's defaults.
+    correction can be toggled off. ``solver`` names a kind in
+    ``solvers.SOLVERS``; a None ``solver_config`` uses that solver's
+    defaults.
     """
 
     reversal_indices: np.ndarray
@@ -135,6 +136,10 @@ def delta_total(
     best iterate, when the configured solver cannot reach its tolerance.
     """
     start = time.perf_counter()
+    # Looked up first, so that an unknown solver kind fails before any work.
+    config = solvers.default_solver_config(request.solver)
+    if request.solver_config is not None:
+        config = request.solver_config
     rhs = build_rhs(spec, theta, dataset, view, request)
     if float(np.linalg.norm(rhs.b)) == 0.0:
         return UpdateReport(
@@ -144,9 +149,6 @@ def delta_total(
             wall_time=time.perf_counter() - start,
         )
 
-    config = request.solver_config
-    if config is None:
-        config = solvers.default_solver_config(request.solver)
     operator = solvers.DampedHessianOperator(
         spec,
         theta,
@@ -155,17 +157,7 @@ def delta_total(
         lam=request.damping,
         hvp_batch_size=request.hvp_batch_size,
     )
-    if request.solver == "cg":
-        result = solvers.cg_solve(operator, rhs.b, config)
-    elif request.solver == "neumann":
-        result = solvers.neumann_solve(operator, rhs.b, config)
-    elif request.solver == "sq":
-        result = solvers.sq_solve(
-            solvers.QuadraticObjective(operator, rhs.b), config
-        )
-    else:
-        raise ValueError(f"unknown solver {request.solver!r}")
-
+    result = solvers.solve(request.solver, operator, rhs.b, config)
     if not result.converged:
         raise solvers.SolverNotConvergedError(
             f"{request.solver} stopped at relative residual "

@@ -334,18 +334,15 @@ def hvp(
 
 
 def _spec_header(spec: ModelSpec) -> dict:
+    """JSON form of a spec, shared by checkpoints and experiment configs.
+
+    The key order is the one experiment configs have always been written
+    in; checkpoints sort their keys.
+    """
+    header = {"l2_coeff": spec.l2_coeff, "input_dim": spec.input_dim}
     if isinstance(spec, LogisticRegression):
-        return {
-            "kind": "logreg",
-            "input_dim": spec.input_dim,
-            "l2_coeff": spec.l2_coeff,
-        }
-    return {
-        "kind": "mlp",
-        "input_dim": spec.input_dim,
-        "hidden_dims": list(spec.hidden_dims),
-        "l2_coeff": spec.l2_coeff,
-    }
+        return dict(header, kind="logreg")
+    return dict(header, kind="mlp", hidden_dims=list(spec.hidden_dims))
 
 
 def spec_from_header(header: dict) -> ModelSpec:
@@ -363,7 +360,7 @@ def spec_from_header(header: dict) -> ModelSpec:
                 l2_coeff=float(header["l2_coeff"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad checkpoint header: {exc}") from None
+        raise DataFormatError(f"bad model header: {exc}") from None
     raise DataFormatError(f"unknown model kind {kind!r}")
 
 
@@ -381,11 +378,23 @@ def save_checkpoint(path: str, spec: ModelSpec, params: np.ndarray) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ModelSpec, np.ndarray]:
-    with open(path, "rb") as fh:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises :class:`DataFormatError` for an unreadable, truncated or
+    corrupt file and for parameters that are not all finite.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         magic = fh.read(4)
         if magic != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a model checkpoint")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise DataFormatError(f"{path}: truncated header")
+        (blob_len,) = struct.unpack("<I", raw_len)
         try:
             header = json.loads(fh.read(blob_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -398,4 +407,6 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, np.ndarray]:
         raise DataFormatError(
             f"{path}: parameter payload does not match the declared model"
         )
+    if not np.all(np.isfinite(params)):
+        raise DataFormatError(f"{path}: parameters contain non-finite values")
     return spec, params

@@ -39,18 +39,17 @@ class SolverConfig:
     seed: int = 0
 
 
-# Per-solver default tolerances: CG solves tightly, the stochastic
-# minimizer targets a looser residual.
-CG_DEFAULT_TOL = 1e-4
-SQ_DEFAULT_TOL = 1e-2
+# The solver registry: every solver kind and its default relative-residual
+# tolerance. CG and the power series solve tightly, the stochastic
+# minimizer targets a looser residual. :func:`solve` dispatches on it.
+SOLVERS = {"cg": 1e-4, "neumann": 1e-4, "sq": 1e-2}
 
 
 def default_solver_config(kind: str) -> SolverConfig:
-    if kind in ("cg", "neumann"):
-        return SolverConfig(tol_rel_residual=CG_DEFAULT_TOL)
-    if kind == "sq":
-        return SolverConfig(tol_rel_residual=SQ_DEFAULT_TOL)
-    raise ValueError(f"unknown solver kind {kind!r}")
+    """Shared defaults with ``kind``'s tolerance; rejects unknown kinds."""
+    if kind not in SOLVERS:
+        raise ValueError(f"unknown solver kind {kind!r}")
+    return SolverConfig(tol_rel_residual=SOLVERS[kind])
 
 
 @dataclass
@@ -400,3 +399,21 @@ def sq_solve(objective: QuadraticObjective, config: SolverConfig) -> SolveResult
         trace,
         time.perf_counter() - start,
     )
+
+
+def solve(
+    kind: str, operator, b: np.ndarray, config: SolverConfig | None = None
+) -> SolveResult:
+    """Solve ``operator @ delta = b`` with the registered solver ``kind``.
+
+    A None ``config`` uses :func:`default_solver_config`. The solvers are
+    looked up as module globals on every call, so that a wrapper installed
+    on ``solvers.cg_solve`` sees the calls made here.
+    """
+    default = default_solver_config(kind)  # rejects an unknown kind
+    config = default if config is None else config
+    if kind == "cg":
+        return cg_solve(operator, b, config)
+    if kind == "neumann":
+        return neumann_solve(operator, b, config)
+    return sq_solve(QuadraticObjective(operator, b), config)

@@ -19,6 +19,7 @@ from dfcvr.data import (
     reversal_set,
     save_csv,
     temporal_split,
+    window_split,
 )
 from dfcvr.errors import ConfigError, DataFormatError
 
@@ -36,6 +37,8 @@ class TestSampleAndDataset:
             Sample(features=np.zeros(3), click_ts=100, pay_ts=50)
         with pytest.raises(ValueError):
             _dataset([100], [50])
+        with pytest.raises(ValueError):  # below the -1 sentinel
+            _dataset([100], [-5])
 
     def test_missing_pay_roundtrip_through_getitem(self):
         ds = _dataset([10, 20], [PAY_TS_MISSING, 25])
@@ -142,6 +145,26 @@ class TestTemporalSplit:
             in_gap = ((clicks >= t) & (clicks < t_prime - d_test)).sum()
             outside = (clicks >= t_prime + d_test).sum()
             assert n_covered + in_gap + outside == 300
+
+
+class TestWindowSplit:
+    def test_training_window_is_cut_at_t_minus_d_test(self):
+        # t=200, t_prime=300, d_test=50: core [0,150), fit-valid [150,200)
+        ds = _dataset(
+            [10, 149, 150, 199, 200, 250, 299, 300, 349],
+            [PAY_TS_MISSING] * 9,
+        )
+        splits = window_split(ds, 200, 300, 50)
+        np.testing.assert_array_equal(splits.core.click_ts, [10, 149])
+        np.testing.assert_array_equal(splits.fit_valid.click_ts, [150, 199])
+        np.testing.assert_array_equal(splits.valid.click_ts, [250, 299])
+        np.testing.assert_array_equal(splits.test.click_ts, [300, 349])
+
+    def test_empty_core_or_fit_valid_is_an_error(self):
+        for clicks in ([10, 260, 310], [160, 260, 310]):
+            ds = _dataset(clicks, [PAY_TS_MISSING] * 3)
+            with pytest.raises(ConfigError, match="core"):
+                window_split(ds, 200, 300, 50)
 
 
 class TestReversalSet:

@@ -92,6 +92,16 @@ class TestExperimentConfig:
         raw["model"]["depth"] = 3
         with pytest.raises(ConfigError, match="depth"):
             harness.ExperimentConfig.from_json_dict(raw)
+        for block, key in (("data", "colour"), ("train", "momentum"),
+                           ("solver_config", "restarts")):
+            raw = _tiny_config().to_json_dict()
+            raw[block][key] = 1
+            with pytest.raises(ConfigError, match=f"{block} keys: {key}"):
+                harness.ExperimentConfig.from_json_dict(raw)
+        raw = _tiny_config().to_json_dict()
+        raw["data"] = {"csv": "clicks.csv", "colour": 1}
+        with pytest.raises(ConfigError, match="data keys: colour"):
+            harness.ExperimentConfig.from_json_dict(raw)
 
     def test_csv_data_requires_input_dim(self):
         raw = {
@@ -117,6 +127,64 @@ class TestExperimentConfig:
             _tiny_config(solver="gmres").validate()
         with pytest.raises(ConfigError):
             _tiny_config(timing_sizes=(0,)).validate()
+
+
+# Pinned to_json_dict output of two configs, key order included: reports
+# and config files written from it must not change.
+_GOLDEN_CONFIGS = (
+    (
+        dict(
+            data=SyntheticConfig(
+                n=4000, feature_dim=5, target_cvr=0.2227,
+                delay_mean_tau=2 * DAY, horizon=12 * DAY,
+                drift_angle_per_day=0.1, seed=3,
+            ),
+            model=models.Mlp(input_dim=5, hidden_dims=(16, 8),
+                             l2_coeff=1e-2),
+            train=TrainConfig(l2_coeff=1e-3),
+            solver="neumann",
+            solver_config=solvers.SolverConfig(neumann_scale=0.5),
+            output_dir="results",
+        ),
+        '{"data": {"n": 4000, "feature_dim": 5, "target_cvr": 0.2227, '
+        '"delay_mean_tau": 172800, "horizon": 1036800, '
+        '"drift_angle_per_day": 0.1, "seed": 3}, "t": 691200, '
+        '"t_prime": 950400, "d_test": 86400, "model": {"l2_coeff": 0.01, '
+        '"input_dim": 5, "kind": "mlp", "hidden_dims": [16, 8]}, '
+        '"train": {"batch_size": 1024, "learning_rate": 0.001, '
+        '"max_epochs": 30, "early_stop_patience": 5, "seed": 0, '
+        '"l2_coeff": 0.001}, "methods": ["vanilla", "retrain", "ifdfm"], '
+        '"seeds": [0], "solver": "neumann", "solver_config": '
+        '{"tol_rel_residual": 0.0001, "max_iters": 1000, "max_epochs": 5, '
+        '"minibatch_size": 512, "learning_rate": 0.01, '
+        '"neumann_terms": 500, "neumann_scale": 0.5, "seed": 0}, '
+        '"damping": 0.001, "timing_sizes": [25000, 50000, 100000], '
+        '"output_dir": "results"}',
+    ),
+    (
+        dict(data="clicks.csv", model=models.LogisticRegression(input_dim=4)),
+        '{"data": {"csv": "clicks.csv"}, "t": 691200, "t_prime": 950400, '
+        '"d_test": 86400, "model": {"l2_coeff": 0.0, "input_dim": 4, '
+        '"kind": "logreg"}, "train": {"batch_size": 1024, '
+        '"learning_rate": 0.001, "max_epochs": 30, '
+        '"early_stop_patience": 5, "seed": 0, "l2_coeff": null}, '
+        '"methods": ["vanilla", "retrain", "ifdfm"], "seeds": [0], '
+        '"solver": "sq", "solver_config": null, "damping": 0.001, '
+        '"timing_sizes": [25000, 50000, 100000], "output_dir": null}',
+    ),
+)
+
+
+@pytest.mark.parametrize("fields, golden", _GOLDEN_CONFIGS,
+                         ids=["synthetic_mlp", "csv_logreg_defaults"])
+def test_to_json_dict_matches_golden(fields, golden):
+    config = harness.ExperimentConfig(
+        t=8 * DAY, t_prime=11 * DAY, d_test=DAY, **fields
+    )
+    assert json.dumps(config.to_json_dict()) == golden
+    assert harness.ExperimentConfig.from_json_dict(json.loads(golden)) == (
+        config
+    )
 
 
 class TestOffline:
@@ -368,7 +436,65 @@ class TestCliPipeline:
         assert (tmp_path / "out" / "solver_traces.csv").exists()
 
 
+def _bad_input_argv(case, tmp_path):
+    """CLI arguments for one bad-input case, with its files written."""
+    csv_path = _write_csv(tmp_path, n=300)
+    ckpt = str(tmp_path / "model.ckpt")
+    spec = models.LogisticRegression(
+        input_dim=3 if case.endswith("dim_mismatch") else 4
+    )
+    params = np.zeros(models.num_params(spec))
+    if case.endswith("nan_checkpoint"):
+        params[0] = np.nan
+    models.save_checkpoint(ckpt, spec, params)
+    if case.endswith("truncated_checkpoint"):
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(6)
+    windows = ["--t", str(8 * DAY), "--t-prime", str(11 * DAY)]
+    evaluate = ["evaluate", "--checkpoint", ckpt, "--data", csv_path,
+                "--t-prime", str(11 * DAY), "--d-test", str(DAY)]
+    return {
+        "train_missing_csv": [
+            "train", "--data", str(tmp_path / "missing.csv"), *windows,
+            "--d-test", str(DAY), "--out", str(tmp_path / "x.ckpt"),
+        ],
+        "evaluate_missing_checkpoint": [
+            "evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),
+            *evaluate[3:],
+        ],
+        "evaluate_truncated_checkpoint": evaluate,
+        "evaluate_dim_mismatch": evaluate,
+        "update_dim_mismatch": [
+            "update", "--checkpoint", ckpt, "--data", csv_path, *windows,
+            "--out", str(tmp_path / "u.ckpt"),
+        ],
+        "evaluate_nan_checkpoint": evaluate,
+    }[case]
+
+
 class TestCliExitCodes:
+    @pytest.mark.parametrize("case", [
+        "train_missing_csv", "evaluate_missing_checkpoint",
+        "evaluate_truncated_checkpoint", "evaluate_dim_mismatch",
+        "update_dim_mismatch", "evaluate_nan_checkpoint",
+    ])
+    def test_bad_input_file_is_one_without_traceback(
+        self, tmp_path, capsys, case
+    ):
+        argv = _bad_input_argv(case, tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dfcvr: error")
+        assert "Traceback" not in err
+
+    def test_solver_choices_are_the_registry(self, capsys):
+        choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"
+        for command in ("update", "offline", "online", "timing",
+                        "compare-solvers"):
+            assert cli.main([command, "--help"]) == 0
+            assert choices in capsys.readouterr().out
+
     def test_usage_error_is_one(self, capsys):
         assert cli.main(["generate", "--n", "10"]) == 1
         assert cli.main(["bogus"]) == 1

@@ -348,3 +348,30 @@ class TestDefaults:
         assert solvers.default_solver_config("sq").tol_rel_residual == 1e-2
         with pytest.raises(ValueError):
             solvers.default_solver_config("gmres")
+
+
+class TestSolve:
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_matches_the_direct_call(self, kind):
+        rng = np.random.default_rng(17)
+        op = solvers.MatrixOperator(_random_spd(rng, 8, cond=10.0))
+        b = rng.standard_normal(8)
+        config = solvers.default_solver_config(kind)
+        direct = {
+            "cg": lambda: solvers.cg_solve(op, b, config),
+            "neumann": lambda: solvers.neumann_solve(op, b, config),
+            "sq": lambda: solvers.sq_solve(
+                solvers.QuadraticObjective(op, b), config
+            ),
+        }[kind]()
+        for result in (solvers.solve(kind, op, b),
+                       solvers.solve(kind, op, b, config)):
+            np.testing.assert_array_equal(result.delta, direct.delta)
+            assert result.residual_rel == direct.residual_rel
+            assert result.iterations == direct.iterations
+            assert result.trace == direct.trace
+
+    def test_unknown_kind_rejected(self):
+        op = solvers.MatrixOperator(np.eye(2))
+        with pytest.raises(ValueError, match="gmres"):
+            solvers.solve("gmres", op, np.ones(2))
