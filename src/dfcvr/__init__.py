@@ -13,11 +13,9 @@ from .data import (
     Observed,
     Oracle,
     Retrain,
-    Sample,
     SyntheticConfig,
     arrival_set,
     generate_synthetic,
-    label_of,
     labels_of,
     load_csv,
     reversal_set,
@@ -40,7 +38,7 @@ from .influence import (
     build_rhs,
     delta_total,
 )
-from .metrics import EvalReport, MethodMetrics, auc, log_loss, prauc, ri
+from .metrics import MethodMetrics, auc, log_loss, prauc, ri
 from .models import (
     LogisticRegression,
     Mlp,
@@ -52,7 +50,6 @@ from .models import (
 from .solvers import (
     DampedHessianOperator,
     MatrixOperator,
-    QuadraticObjective,
     SolveResult,
     SolverConfig,
     SolverError,
@@ -72,7 +69,6 @@ __all__ = [
     "Dataset",
     "DfcvrError",
     "DampedHessianOperator",
-    "EvalReport",
     "ExperimentConfig",
     "InfluenceRequest",
     "LabelView",
@@ -84,9 +80,7 @@ __all__ = [
     "NumericalError",
     "Observed",
     "Oracle",
-    "QuadraticObjective",
     "Retrain",
-    "Sample",
     "SolveResult",
     "SolverConfig",
     "SolverError",
@@ -103,7 +97,6 @@ __all__ = [
     "compare_solvers",
     "delta_total",
     "generate_synthetic",
-    "label_of",
     "labels_of",
     "load_checkpoint",
     "load_csv",

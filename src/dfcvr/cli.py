@@ -172,14 +172,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _model_spec(args: argparse.Namespace, input_dim: int) -> models.ModelSpec:
-    if args.model == "logreg":
-        return models.LogisticRegression(input_dim=input_dim,
-                                         l2_coeff=args.l2_coeff)
-    return models.Mlp(
-        input_dim=input_dim,
-        hidden_dims=_parse_int_list(args.hidden_dims, "hidden-dims"),
-        l2_coeff=args.l2_coeff,
-    )
+    hidden_dims = ()
+    if args.model == "mlp":
+        hidden_dims = _parse_int_list(args.hidden_dims, "hidden-dims")
+    return models.Mlp(input_dim, hidden_dims, args.l2_coeff)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -27,24 +27,6 @@ SECONDS_PER_DAY = 86_400
 PAY_TS_MISSING = -1
 
 
-@dataclass(eq=False)
-class Sample:
-    """One click event. ``pay_ts`` is None when no conversion was logged."""
-
-    features: np.ndarray
-    click_ts: Timestamp
-    pay_ts: Timestamp | None
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise ValueError("sample features must be a 1-d vector")
-        if self.pay_ts is not None and self.pay_ts < self.click_ts:
-            raise ValueError(
-                f"pay_ts {self.pay_ts} precedes click_ts {self.click_ts}"
-            )
-
-
 class Dataset:
     """Columnar, read-only store of click events.
 
@@ -99,26 +81,6 @@ class Dataset:
     def __len__(self) -> int:
         return self._features.shape[0]
 
-    def __getitem__(self, index: int) -> Sample:
-        pay = int(self._pay_ts[index])
-        return Sample(
-            features=self._features[index].copy(),
-            click_ts=int(self._click_ts[index]),
-            pay_ts=None if pay == PAY_TS_MISSING else pay,
-        )
-
-    @classmethod
-    def from_samples(cls, samples: list[Sample]) -> "Dataset":
-        if not samples:
-            raise ValueError("cannot build a dataset from zero samples")
-        features = np.stack([s.features for s in samples])
-        click_ts = np.array([s.click_ts for s in samples], dtype=np.int64)
-        pay_ts = np.array(
-            [PAY_TS_MISSING if s.pay_ts is None else s.pay_ts for s in samples],
-            dtype=np.int64,
-        )
-        return cls(features, click_ts, pay_ts)
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New dataset holding the selected rows, in the given order."""
         return Dataset(
@@ -148,17 +110,6 @@ class Oracle:
 
 
 LabelView = Observed | Retrain | Oracle
-
-
-def label_of(sample: Sample, view: LabelView) -> int:
-    """Label of one sample under a view. Returns 0 or 1."""
-    if sample.pay_ts is None:
-        return 0
-    if isinstance(view, Oracle):
-        return 1
-    if isinstance(view, (Observed, Retrain)):
-        return int(sample.pay_ts < view.cutoff)
-    raise TypeError(f"unknown label view: {view!r}")
 
 
 def labels_of(dataset: Dataset, view: LabelView) -> np.ndarray:

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.solver not in solvers.SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.solver_config is not None:
+            self.solver_config.validate()
         if self.damping < 0:
             raise ConfigError("damping must be non-negative")
         if not self.timing_sizes or any(s <= 0 for s in self.timing_sizes):

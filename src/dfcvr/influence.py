@@ -22,7 +22,7 @@ import numpy as np
 
 from . import models, solvers
 from .data import Dataset, LabelView, labels_of
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 
 @dataclass
@@ -136,10 +136,13 @@ def delta_total(
     best iterate, when the configured solver cannot reach its tolerance.
     """
     start = time.perf_counter()
-    # Looked up first, so that an unknown solver kind fails before any work.
+    # Checked first, so that a bad solver or damping fails before any work.
     config = solvers.default_solver_config(request.solver)
     if request.solver_config is not None:
         config = request.solver_config
+    config.validate()
+    if request.damping < 0:
+        raise ConfigError("damping must be non-negative")
     rhs = build_rhs(spec, theta, dataset, view, request)
     if float(np.linalg.norm(rhs.b)) == 0.0:
         return UpdateReport(

@@ -33,17 +33,11 @@ def _validate(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    # A group of c ties ending at rank e holds ranks e - c + 1 .. e.
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -141,29 +135,3 @@ def ri_block(
             "log_loss": ri(mm.log_loss, van.log_loss, ret.log_loss),
         }
     return out
-
-
-@dataclass
-class EvalReport:
-    """Metrics for every method on one evaluation set, plus RI and timings."""
-
-    methods: dict[str, MethodMetrics]
-    ri: dict[str, dict[str, float | None]]
-    timings: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "methods": {k: v.to_dict() for k, v in self.methods.items()},
-            "ri": self.ri,
-            "timings": self.timings,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for name, mm in self.methods.items():
-            row: dict = {"method": name, **mm.to_dict()}
-            for metric in ("auc", "prauc", "log_loss"):
-                val = self.ri.get(name, {}).get(metric)
-                row[f"ri_{metric}"] = "" if val is None else val
-            rows.append(row)
-        return rows

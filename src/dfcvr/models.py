@@ -1,4 +1,5 @@
-"""Binary cross-entropy models: logistic regression and ReLU MLPs.
+"""Binary cross-entropy models: ReLU MLPs, with logistic regression as the
+MLP without hidden layers.
 
 Parameters live in one flat float64 vector, laid out layer by layer as the
 row-major weight matrix followed by the bias vector. Gradients and
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 LOGIT_CLAMP = 30.0
 PROB_CLIP = 1e-7
@@ -29,28 +30,32 @@ _CHECKPOINT_MAGIC = b"DFC1"
 
 
 @dataclass(frozen=True)
-class LogisticRegression:
-    input_dim: int
-    l2_coeff: float = 0.0
-
-
-@dataclass(frozen=True)
 class Mlp:
+    """A ReLU MLP; ``hidden_dims == ()`` is logistic regression."""
+
     input_dim: int
     hidden_dims: tuple[int, ...]
     l2_coeff: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
+            raise ConfigError(
+                f"model widths must be positive, got input_dim "
+                f"{self.input_dim} and hidden_dims {self.hidden_dims}"
+            )
 
 
-ModelSpec = LogisticRegression | Mlp
+ModelSpec = Mlp
+
+
+def LogisticRegression(input_dim: int, l2_coeff: float = 0.0) -> Mlp:
+    """Logistic regression: the MLP without hidden layers."""
+    return Mlp(input_dim, (), l2_coeff)
 
 
 def layer_shapes(spec: ModelSpec) -> list[tuple[int, int]]:
     """(out_dim, in_dim) per layer, ending with the scalar output layer."""
-    if isinstance(spec, LogisticRegression):
-        return [(1, spec.input_dim)]
     dims = [spec.input_dim, *spec.hidden_dims, 1]
     return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
@@ -86,10 +91,10 @@ def pack_params(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """He-uniform hidden layers, Xavier-uniform output, zero biases.
 
-    Logistic regression starts at the zero vector: the BCE objective is
-    convex, so no symmetry breaking is needed.
+    Without hidden layers (logistic regression) the start is the zero
+    vector: the BCE objective is convex, so no symmetry breaking is needed.
     """
-    if isinstance(spec, LogisticRegression):
+    if not spec.hidden_dims:
         return np.zeros(num_params(spec))
     rng = np.random.Generator(np.random.Philox(key=seed))
     shapes = layer_shapes(spec)
@@ -124,20 +129,16 @@ def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     batch = x[None, :] if single else x
-    if batch.shape[1] != _input_dim(spec):
+    if batch.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature dim {batch.shape[1]} does not match model input "
-            f"dim {_input_dim(spec)}"
+            f"dim {spec.input_dim}"
         )
     logits = np.clip(
         _forward_logits(spec, params, batch), -LOGIT_CLAMP, LOGIT_CLAMP
     )
     probs = np.clip(1.0 / (1.0 + np.exp(-logits)), PROB_CLIP, 1.0 - PROB_CLIP)
     return probs[0] if single else probs
-
-
-def _input_dim(spec: ModelSpec) -> int:
-    return spec.input_dim
 
 
 @dataclass
@@ -168,7 +169,7 @@ def build_state(
 ) -> BatchState:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != _input_dim(spec):
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError("feature batch shape does not match the model")
     if y.shape != (x.shape[0],):
         raise ValueError("label vector length does not match the batch")
@@ -227,28 +228,6 @@ def loss_and_grad(
         db = delta_l.mean(axis=0)
         layers.append((dw, db))
     return loss, pack_params(layers)
-
-
-def batch_loss(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> float:
-    return loss_and_grad(spec, params, x, y)[0]
-
-
-def bce_loss(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, label: float
-) -> float:
-    """Loss of a single sample, including the full L2 penalty."""
-    if label not in (0, 1):
-        raise ValueError("label must be 0 or 1")
-    x = np.asarray(x, dtype=np.float64)
-    return batch_loss(spec, params, x[None, :], np.array([float(label)]))
-
-
-def grad(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    return loss_and_grad(spec, params, x, y)[1]
 
 
 def bce_grad_sum(
@@ -321,45 +300,31 @@ def hvp_from_state(
     return pack_params(out)
 
 
-def hvp(
-    spec: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Exact HVP of the batch loss (mean BCE + L2) at ``params``."""
-    state = build_state(spec, params, x, y)
-    return hvp_from_state(spec, params, state, v)
-
-
 def _spec_header(spec: ModelSpec) -> dict:
     """JSON form of a spec, shared by checkpoints and experiment configs.
 
-    The key order is the one experiment configs have always been written
-    in; checkpoints sort their keys.
+    A spec without hidden layers is written as ``kind: "logreg"``. The key
+    order is the one experiment configs have always been written in;
+    checkpoints sort their keys.
     """
     header = {"l2_coeff": spec.l2_coeff, "input_dim": spec.input_dim}
-    if isinstance(spec, LogisticRegression):
+    if not spec.hidden_dims:
         return dict(header, kind="logreg")
     return dict(header, kind="mlp", hidden_dims=list(spec.hidden_dims))
 
 
 def spec_from_header(header: dict) -> ModelSpec:
+    """Inverse of :func:`_spec_header`; ``"logreg"`` has no hidden layers."""
     try:
         kind = header["kind"]
-        if kind == "logreg":
-            return LogisticRegression(
-                input_dim=int(header["input_dim"]),
-                l2_coeff=float(header["l2_coeff"]),
-            )
-        if kind == "mlp":
+        if kind in ("logreg", "mlp"):
+            hidden = header["hidden_dims"] if kind == "mlp" else ()
             return Mlp(
                 input_dim=int(header["input_dim"]),
-                hidden_dims=tuple(int(h) for h in header["hidden_dims"]),
+                hidden_dims=tuple(int(h) for h in hidden),
                 l2_coeff=float(header["l2_coeff"]),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad model header: {exc}") from None
     raise DataFormatError(f"unknown model kind {kind!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .optim import Adam, epoch_permutation
 
 
@@ -37,6 +37,20 @@ class SolverConfig:
     neumann_terms: int = 500
     neumann_scale: float | None = None
     seed: int = 0
+
+    def validate(self) -> None:
+        if self.tol_rel_residual < 0:
+            raise ConfigError("tol_rel_residual must be non-negative")
+        for name in ("max_iters", "max_epochs", "minibatch_size",
+                     "neumann_terms"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
+        if self.neumann_scale is not None and self.neumann_scale <= 0:
+            raise ConfigError("neumann_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 # The solver registry: every solver kind and its default relative-residual
@@ -159,53 +173,6 @@ class DampedHessianOperator:
         return part + self.lam * v
 
 
-class QuadraticObjective:
-    """``F(delta) = 0.5 <delta, A delta> - <b, delta>`` for an SPD operator.
-
-    Minimizing F solves ``A delta = b``; the gradient is ``A delta - b``,
-    so the full-batch gradient norm doubles as the residual norm. With a
-    sample-structured operator the gradient decomposes into unbiased
-    minibatch pieces.
-    """
-
-    def __init__(self, operator, b: np.ndarray) -> None:
-        if b.shape != (operator.dim,):
-            raise ValueError("right-hand side length does not match operator")
-        self.operator = operator
-        self.b = b
-
-    @property
-    def n_samples(self) -> int | None:
-        return getattr(self.operator, "n_samples", None)
-
-    def value(self, delta: np.ndarray) -> float:
-        return float(
-            0.5 * delta @ self.operator.matvec(delta) - self.b @ delta
-        )
-
-    def full_grad(self, delta: np.ndarray) -> np.ndarray:
-        return self.operator.matvec(delta) - self.b
-
-    def minibatch_grad(self, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if self.n_samples is None:
-            raise ValueError("operator has no sample structure")
-        return self.operator.matvec_batch(delta, rows) - self.b
-
-    def piece_value(self, delta: np.ndarray, rows: np.ndarray) -> float:
-        """Mean of the per-sample quadratic pieces over ``rows``.
-
-        Each piece is ``0.5 <delta, A_i delta> - <b, delta>`` with ``A_i``
-        the sample's damped curvature; the size-weighted mean over a
-        partition of the samples recovers ``value``.
-        """
-        if self.n_samples is None:
-            raise ValueError("operator has no sample structure")
-        return float(
-            0.5 * delta @ self.operator.matvec_batch(delta, rows)
-            - self.b @ delta
-        )
-
-
 def cg_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
     """Conjugate gradients; returns the best iterate by relative residual.
 
@@ -306,8 +273,6 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
         scale = _NEUMANN_SCALE_MARGIN / estimate
     else:
         scale = config.neumann_scale
-        if scale <= 0.0:
-            raise SolverError("neumann_scale must be positive")
         # Strictly-greater test with a hair of slack: the exact boundary
         # (e.g. the identity with s = 1) still converges in one term.
         if scale * estimate - 1.0 > 1e-9:
@@ -345,38 +310,37 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
     )
 
 
-def sq_solve(objective: QuadraticObjective, config: SolverConfig) -> SolveResult:
-    """Adam on the quadratic objective with unbiased minibatch gradients.
+def sq_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
+    """Adam on ``F(delta) = 0.5 <delta, A delta> - <b, delta>``.
 
-    One full-pass residual check per epoch; returns the epoch-boundary
-    iterate with the smallest relative residual. Without sample structure
-    each epoch is a single full-batch step and the residual comes free
-    from the gradient.
+    Minimizing F solves ``A delta = b``, and its gradient ``A delta - b``
+    is the residual. An operator with ``n_samples`` supplies unbiased
+    minibatch gradients through ``matvec_batch``; without one each epoch
+    is a single full-batch step. One full-pass residual check per epoch;
+    returns the epoch-boundary iterate with the smallest relative
+    residual.
     """
     start = time.perf_counter()
-    b_norm = float(np.linalg.norm(objective.b))
-    dim = objective.b.shape[0]
+    b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolveResult(np.zeros(dim), None, 0, True,
+        return SolveResult(np.zeros_like(b), None, 0, True,
                            wall_time=time.perf_counter() - start)
-    delta = np.zeros(dim)
-    adam = Adam(dim, config.learning_rate)
+    delta = np.zeros_like(b)
+    adam = Adam(b.shape[0], config.learning_rate)
     best_rel = 1.0  # residual at delta = 0 is exactly norm(b)
     best_delta = delta.copy()
     trace: list[float] = []
-    n = objective.n_samples
+    n = getattr(operator, "n_samples", None)
     epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         if n is None:
-            g = objective.full_grad(delta)
-            adam.step(delta, g)
-            rel = float(np.linalg.norm(objective.full_grad(delta))) / b_norm
+            adam.step(delta, operator.matvec(delta) - b)
         else:
             perm = epoch_permutation(config.seed, epoch, n)
             for begin in range(0, n, config.minibatch_size):
                 rows = perm[begin : begin + config.minibatch_size]
-                adam.step(delta, objective.minibatch_grad(delta, rows))
-            rel = float(np.linalg.norm(objective.full_grad(delta))) / b_norm
+                adam.step(delta, operator.matvec_batch(delta, rows) - b)
+        rel = float(np.linalg.norm(operator.matvec(delta) - b)) / b_norm
         epochs = epoch
         if not np.isfinite(rel):
             raise SolverError(
@@ -406,14 +370,15 @@ def solve(
 ) -> SolveResult:
     """Solve ``operator @ delta = b`` with the registered solver ``kind``.
 
-    A None ``config`` uses :func:`default_solver_config`. The solvers are
-    looked up as module globals on every call, so that a wrapper installed
-    on ``solvers.cg_solve`` sees the calls made here.
+    A None ``config`` uses :func:`default_solver_config`; a given one is
+    validated first. The solvers are looked up as module globals on every
+    call, so that a wrapper installed on ``solvers.cg_solve`` sees the
+    calls made here.
     """
     default = default_solver_config(kind)  # rejects an unknown kind
     config = default if config is None else config
-    if kind == "cg":
-        return cg_solve(operator, b, config)
-    if kind == "neumann":
-        return neumann_solve(operator, b, config)
-    return sq_solve(QuadraticObjective(operator, b), config)
+    config.validate()
+    if b.shape != (operator.dim,):
+        raise ValueError("right-hand side length does not match operator")
+    run = {"cg": cg_solve, "neumann": neumann_solve, "sq": sq_solve}[kind]
+    return run(operator, b, config)

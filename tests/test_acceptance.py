@@ -162,18 +162,19 @@ class TestAcceptance:
             v = rng.standard_normal(theta.size)
             v /= np.linalg.norm(v)
 
-            hv = models.hvp(spec, theta, x, y, v)
+            state = models.build_state(spec, theta, x, y)
+            hv = models.hvp_from_state(spec, theta, state, v)
             eps = 1e-4
             fd = (
-                models.grad(spec, theta + eps * v, x, y)
-                - models.grad(spec, theta - eps * v, x, y)
+                models.loss_and_grad(spec, theta + eps * v, x, y)[1]
+                - models.loss_and_grad(spec, theta - eps * v, x, y)[1]
             ) / (2.0 * eps)
             fd_rel = float(
                 np.linalg.norm(hv - fd) / np.linalg.norm(fd)
             )
             max_fd_rel = max(max_fd_rel, fd_rel)
 
-            if isinstance(spec, models.LogisticRegression):
+            if not spec.hidden_dims:
                 n_logistic += 1
                 xb = _with_bias(x)
                 f = _sigmoid(xb @ theta)
@@ -220,9 +221,9 @@ class TestAcceptance:
                                             neumann_terms=500)
             )
             r_sq = solvers.sq_solve(
-                solvers.QuadraticObjective(op, b),
-                solvers.SolverConfig(tol_rel_residual=1e-4,
-                                     max_epochs=20_000, learning_rate=0.1),
+                op, b, solvers.SolverConfig(tol_rel_residual=1e-4,
+                                            max_epochs=20_000,
+                                            learning_rate=0.1)
             )
             ref = np.linalg.norm(x_star)
             worst["cg"] = max(

@@ -9,11 +9,9 @@ from dfcvr.data import (
     Observed,
     Oracle,
     Retrain,
-    Sample,
     SyntheticConfig,
     arrival_set,
     generate_synthetic,
-    label_of,
     labels_of,
     load_csv,
     reversal_set,
@@ -34,25 +32,24 @@ def _dataset(clicks, pays, d=3, seed=0):
 class TestSampleAndDataset:
     def test_pay_before_click_rejected(self):
         with pytest.raises(ValueError):
-            Sample(features=np.zeros(3), click_ts=100, pay_ts=50)
-        with pytest.raises(ValueError):
             _dataset([100], [50])
         with pytest.raises(ValueError):  # below the -1 sentinel
             _dataset([100], [-5])
 
-    def test_missing_pay_roundtrip_through_getitem(self):
+    def test_missing_pay_is_stored_as_the_sentinel(self):
         ds = _dataset([10, 20], [PAY_TS_MISSING, 25])
-        assert ds[0].pay_ts is None
-        assert ds[1].pay_ts == 25
+        np.testing.assert_array_equal(ds.pay_ts, [PAY_TS_MISSING, 25])
+        np.testing.assert_array_equal(labels_of(ds, Oracle()), [0.0, 1.0])
         assert len(ds) == 2
         assert ds.feature_dim == 3
 
-    def test_from_samples_matches_columns(self):
+    def test_subset_keeps_rows_in_the_given_order(self):
         ds = _dataset([10, 20, 30], [12, PAY_TS_MISSING, 40])
-        rebuilt = Dataset.from_samples([ds[i] for i in range(len(ds))])
-        np.testing.assert_array_equal(rebuilt.features, ds.features)
-        np.testing.assert_array_equal(rebuilt.click_ts, ds.click_ts)
-        np.testing.assert_array_equal(rebuilt.pay_ts, ds.pay_ts)
+        order = np.array([2, 0, 1])
+        picked = ds.subset(order)
+        np.testing.assert_array_equal(picked.features, ds.features[order])
+        np.testing.assert_array_equal(picked.click_ts, [30, 10, 20])
+        np.testing.assert_array_equal(picked.pay_ts, [40, 12, PAY_TS_MISSING])
 
     def test_columns_are_read_only(self):
         ds = _dataset([10], [12])
@@ -64,21 +61,24 @@ class TestSampleAndDataset:
             Dataset(np.array([[np.nan]]), np.array([1]), np.array([-1]))
 
 
+def _label(click, pay, view):
+    """Label of the one-row dataset holding this click under ``view``."""
+    pay = PAY_TS_MISSING if pay is None else pay
+    return int(labels_of(_dataset([click], [pay], d=1), view)[0])
+
+
 class TestLabelViews:
     def test_no_conversion_is_negative_under_every_view(self):
-        s = Sample(features=np.zeros(2), click_ts=100, pay_ts=None)
         for view in (Observed(300), Retrain(600), Oracle()):
-            assert label_of(s, view) == 0
+            assert _label(100, None, view) == 0
 
     def test_fake_negative_reverses_under_later_cutoff(self):
-        s = Sample(features=np.zeros(2), click_ts=100, pay_ts=500)
-        assert label_of(s, Observed(300)) == 0
-        assert label_of(s, Retrain(600)) == 1
+        assert _label(100, 500, Observed(300)) == 0
+        assert _label(100, 500, Retrain(600)) == 1
 
     def test_true_positive_everywhere(self):
-        s = Sample(features=np.zeros(2), click_ts=100, pay_ts=200)
-        assert label_of(s, Observed(300)) == 1
-        assert label_of(s, Oracle()) == 1
+        assert _label(100, 200, Observed(300)) == 1
+        assert _label(100, 200, Oracle()) == 1
 
     def test_cutoff_monotonicity_property(self):
         rng = np.random.default_rng(42)
@@ -89,21 +89,26 @@ class TestLabelViews:
                 if rng.random() < 0.4
                 else click + int(rng.integers(0, 2000))
             )
-            s = Sample(features=np.zeros(1), click_ts=click, pay_ts=pay)
             t1, t2 = sorted(rng.integers(1, 3000, size=2).tolist())
-            l1 = label_of(s, Observed(t1))
-            l2 = label_of(s, Observed(t2))
-            assert l1 <= l2 <= label_of(s, Oracle())
+            l1 = _label(click, pay, Observed(t1))
+            l2 = _label(click, pay, Observed(t2))
+            assert l1 <= l2 <= _label(click, pay, Oracle())
 
     def test_vectorized_labels_match_scalar(self):
         ds = _dataset(
             [10, 20, 30, 40],
             [PAY_TS_MISSING, 25, 100, 41],
         )
-        for view in (Observed(30), Retrain(90), Oracle()):
-            vec = labels_of(ds, view)
-            scalar = [label_of(ds[i], view) for i in range(len(ds))]
-            np.testing.assert_array_equal(vec, np.array(scalar, dtype=float))
+        # Row by row: never converts, converts at 25, at 100, at 41.
+        expected = {
+            Observed(30): [0, 1, 0, 0],
+            Retrain(90): [0, 1, 0, 1],
+            Oracle(): [0, 1, 1, 1],
+        }
+        for view, labels in expected.items():
+            np.testing.assert_array_equal(
+                labels_of(ds, view), np.array(labels, dtype=float)
+            )
 
 
 class TestTemporalSplit:
@@ -314,8 +319,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "data.csv"
         path.write_text("click_ts,pay_ts,f0\n5,-1,0.25\n7,9,1.5\n")
         ds = load_csv(str(path))
-        assert ds[0].pay_ts is None
-        assert ds[1].pay_ts == 9
+        np.testing.assert_array_equal(ds.pay_ts, [PAY_TS_MISSING, 9])
+        np.testing.assert_array_equal(labels_of(ds, Oracle()), [0.0, 1.0])
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import dfcvr
 from dfcvr import cli, harness, models, solvers
 from dfcvr.data import SyntheticConfig
 from dfcvr.errors import ConfigError
@@ -125,6 +126,9 @@ class TestExperimentConfig:
             _tiny_config(damping=-1.0).validate()
         with pytest.raises(ConfigError):
             _tiny_config(solver="gmres").validate()
+        with pytest.raises(ConfigError):
+            bad = solvers.SolverConfig(neumann_terms=0)
+            _tiny_config(solver_config=bad).validate()
         with pytest.raises(ConfigError):
             _tiny_config(timing_sizes=(0,)).validate()
 
@@ -450,9 +454,18 @@ def _bad_input_argv(case, tmp_path):
     if case.endswith("truncated_checkpoint"):
         with open(ckpt, "r+b") as fh:
             fh.truncate(6)
+    config = str(tmp_path / "config.json")
+    with open(config, "w") as fh:
+        json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
+                   "d_test": DAY,
+                   "model": {"input_dim": 4, "hidden_dims": [0]}}, fh)
     windows = ["--t", str(8 * DAY), "--t-prime", str(11 * DAY)]
+    train = ["train", "--data", csv_path, *windows, "--d-test", str(DAY),
+             "--out", str(tmp_path / "x.ckpt")]
     evaluate = ["evaluate", "--checkpoint", ckpt, "--data", csv_path,
                 "--t-prime", str(11 * DAY), "--d-test", str(DAY)]
+    update = ["update", "--checkpoint", ckpt, "--data", csv_path, *windows,
+              "--out", str(tmp_path / "u.ckpt")]
     return {
         "train_missing_csv": [
             "train", "--data", str(tmp_path / "missing.csv"), *windows,
@@ -464,11 +477,20 @@ def _bad_input_argv(case, tmp_path):
         ],
         "evaluate_truncated_checkpoint": evaluate,
         "evaluate_dim_mismatch": evaluate,
-        "update_dim_mismatch": [
-            "update", "--checkpoint", ckpt, "--data", csv_path, *windows,
-            "--out", str(tmp_path / "u.ckpt"),
-        ],
+        "update_dim_mismatch": update,
         "evaluate_nan_checkpoint": evaluate,
+        "update_negative_damping": [*update, "--damping=-1"],
+        "update_sq_zero_minibatch": [
+            *update, "--solver", "sq", "--solver-minibatch", "0"],
+        "update_sq_zero_learning_rate": [
+            *update, "--solver", "sq", "--solver-learning-rate", "0"],
+        "update_neumann_zero_terms": [
+            *update, "--solver", "neumann", "--neumann-terms", "0"],
+        "update_neumann_zero_scale": [
+            *update, "--solver", "neumann", "--neumann-scale", "0"],
+        "train_negative_width": [*train, "--hidden-dims=-5"],
+        "train_zero_width": [*train, "--hidden-dims", "0"],
+        "offline_zero_width_config": ["offline", "--config", config],
     }[case]
 
 
@@ -477,6 +499,10 @@ class TestCliExitCodes:
         "train_missing_csv", "evaluate_missing_checkpoint",
         "evaluate_truncated_checkpoint", "evaluate_dim_mismatch",
         "update_dim_mismatch", "evaluate_nan_checkpoint",
+        "update_negative_damping", "update_sq_zero_minibatch",
+        "update_sq_zero_learning_rate", "update_neumann_zero_terms",
+        "update_neumann_zero_scale", "train_negative_width",
+        "train_zero_width", "offline_zero_width_config",
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -543,3 +569,8 @@ class TestCliExitCodes:
         ])
         assert code == 2
         assert "residual" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    for name in dfcvr.__all__:
+        assert getattr(dfcvr, name) is not None, name

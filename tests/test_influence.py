@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dfcvr import data, influence, models, solvers, training
-from dfcvr.errors import NumericalError
+from dfcvr.errors import ConfigError, NumericalError
 
 T = 10
 T_PRIME = 100
@@ -376,6 +376,20 @@ class TestDeltaTotal:
             reversal_indices=flips, solver="lbfgs"
         )
         with pytest.raises(ValueError, match="solver"):
+            influence.delta_total(
+                spec, theta, dataset, data.Observed(T), request
+            )
+
+    @pytest.mark.parametrize("field, value", [
+        ("damping", -1.0),
+        ("solver_config", solvers.SolverConfig(max_iters=0)),
+    ])
+    def test_bad_settings_rejected_before_any_work(self, field, value):
+        # An empty reversal set would short-circuit to a zero update.
+        dataset, _, spec, theta = _fitted_lr(seed=11)
+        request = _cg_request(np.array([], dtype=np.int64))
+        setattr(request, field, value)
+        with pytest.raises(ConfigError):
             influence.delta_total(
                 spec, theta, dataset, data.Observed(T), request
             )

@@ -1,11 +1,32 @@
 """Model core tests: predictions, losses, gradients, HVPs, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from dfcvr import models
-from dfcvr.errors import DataFormatError
+from dfcvr.errors import ConfigError, DataFormatError
 from dfcvr.models import LogisticRegression, Mlp
+
+
+def _loss(spec, theta, x, y):
+    return models.loss_and_grad(spec, theta, x, y)[0]
+
+
+def _grad(spec, theta, x, y):
+    return models.loss_and_grad(spec, theta, x, y)[1]
+
+
+def _hvp(spec, theta, x, y, v):
+    state = models.build_state(spec, theta, x, y)
+    return models.hvp_from_state(spec, theta, state, v)
+
+
+def _sample_loss(spec, theta, x, label):
+    """Loss of one sample, including the full L2 penalty."""
+    return _loss(spec, theta, np.asarray(x)[None, :], np.array([label]))
 
 
 def _random_instance(rng, spec, n=30, scale=0.5):
@@ -63,14 +84,14 @@ class TestPredict:
 class TestBceLoss:
     def test_half_probability_gives_ln2(self):
         lr = LogisticRegression(input_dim=2)
-        loss = models.bce_loss(lr, np.zeros(3), np.ones(2), 1)
+        loss = _sample_loss(lr, np.zeros(3), np.ones(2), 1)
         np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
     def test_confident_correct_loss_sits_at_the_clip_floor(self):
         # probabilities are clipped to [1e-7, 1 - 1e-7], so a confident
         # correct prediction bottoms out near -log(1 - 1e-7)
         lr = LogisticRegression(input_dim=1)
-        loss = models.bce_loss(lr, np.array([25.0, 0.0]), np.ones(1), 1)
+        loss = _sample_loss(lr, np.array([25.0, 0.0]), np.ones(1), 1)
         assert 0.0 < loss <= 1.01e-7
 
     def test_matches_independent_scalar_formula(self):
@@ -85,7 +106,7 @@ class TestBceLoss:
             f = float(np.clip(1.0 / (1.0 + np.exp(-logit)), 1e-7, 1 - 1e-7))
             expected = -(y * np.log(f) + (1 - y) * np.log(1 - f))
             expected += 0.5 * 0.01 * float(theta[:4] @ theta[:4])
-            got = models.bce_loss(spec, theta, x, y)
+            got = _sample_loss(spec, theta, x, y)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -97,7 +118,7 @@ class TestGrad:
         f = models.predict(spec, theta, x)
         expected_w = ((f - y)[:, None] * x).mean(axis=0)
         expected_b = (f - y).mean()
-        g = models.grad(spec, theta, x, y)
+        g = _grad(spec, theta, x, y)
         np.testing.assert_allclose(g[:6], expected_w, rtol=1e-12)
         np.testing.assert_allclose(g[6], expected_b, rtol=1e-12)
 
@@ -112,10 +133,10 @@ class TestGrad:
                 theta, x, y = _random_instance(rng, spec)
                 u = rng.standard_normal(theta.size)
                 u /= np.linalg.norm(u)
-                g = models.grad(spec, theta, x, y)
+                g = _grad(spec, theta, x, y)
                 fd = (
-                    models.batch_loss(spec, theta + eps * u, x, y)
-                    - models.batch_loss(spec, theta - eps * u, x, y)
+                    _loss(spec, theta + eps * u, x, y)
+                    - _loss(spec, theta - eps * u, x, y)
                 ) / (2 * eps)
                 np.testing.assert_allclose(g @ u, fd, rtol=1e-5, atol=1e-10)
 
@@ -123,8 +144,8 @@ class TestGrad:
         rng = np.random.default_rng(5)
         spec = Mlp(input_dim=4, hidden_dims=(6,), l2_coeff=0.001)
         theta, x, y = _random_instance(rng, spec)
-        g1 = models.grad(spec, theta, x, y)
-        g2 = models.grad(spec, theta, x, y)
+        g1 = _grad(spec, theta, x, y)
+        g2 = _grad(spec, theta, x, y)
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -133,7 +154,7 @@ class TestHvp:
         rng = np.random.default_rng(6)
         spec = Mlp(input_dim=4, hidden_dims=(5,))
         theta, x, y = _random_instance(rng, spec)
-        hv = models.hvp(spec, theta, x, y, np.zeros(theta.size))
+        hv = _hvp(spec, theta, x, y, np.zeros(theta.size))
         np.testing.assert_array_equal(hv, np.zeros(theta.size))
 
     def test_logistic_closed_form_hessian(self):
@@ -146,7 +167,7 @@ class TestHvp:
             h = xa.T @ (xa * (f * (1 - f))[:, None]) / 40
             h[:6, :6] += 0.02 * np.eye(6)
             v = rng.standard_normal(7)
-            hv = models.hvp(spec, theta, x, y, v)
+            hv = _hvp(spec, theta, x, y, v)
             np.testing.assert_allclose(hv, h @ v, rtol=1e-10, atol=1e-14)
 
     def test_finite_difference_of_gradients(self):
@@ -159,10 +180,10 @@ class TestHvp:
             for _ in range(10):
                 theta, x, y = _random_instance(rng, spec)
                 v = rng.standard_normal(theta.size)
-                hv = models.hvp(spec, theta, x, y, v)
+                hv = _hvp(spec, theta, x, y, v)
                 fd = (
-                    models.grad(spec, theta + eps * v, x, y)
-                    - models.grad(spec, theta - eps * v, x, y)
+                    _grad(spec, theta + eps * v, x, y)
+                    - _grad(spec, theta - eps * v, x, y)
                 ) / (2 * eps)
                 err = np.linalg.norm(hv - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert err < 1e-4
@@ -174,8 +195,8 @@ class TestHvp:
         u = rng.standard_normal(theta.size)
         w = rng.standard_normal(theta.size)
         a, b = 0.7, -1.3
-        left = models.hvp(spec, theta, x, y, a * u + b * w)
-        right = a * models.hvp(spec, theta, x, y, u) + b * models.hvp(
+        left = _hvp(spec, theta, x, y, a * u + b * w)
+        right = a * _hvp(spec, theta, x, y, u) + b * _hvp(
             spec, theta, x, y, w
         )
         np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-12)
@@ -190,8 +211,8 @@ class TestHvp:
                 theta, x, y = _random_instance(rng, spec)
                 u = rng.standard_normal(theta.size)
                 v = rng.standard_normal(theta.size)
-                hu = models.hvp(spec, theta, x, y, u)
-                hv = models.hvp(spec, theta, x, y, v)
+                hu = _hvp(spec, theta, x, y, u)
+                hv = _hvp(spec, theta, x, y, v)
                 np.testing.assert_allclose(u @ hv, v @ hu, rtol=1e-10)
 
     def test_logistic_positive_definite_on_weights(self):
@@ -200,7 +221,7 @@ class TestHvp:
         for _ in range(20):
             theta, x, y = _random_instance(rng, spec)
             v = rng.standard_normal(7)
-            hv = models.hvp(spec, theta, x, y, v)
+            hv = _hvp(spec, theta, x, y, v)
             assert v @ hv >= 0.05 * float(v[:6] @ v[:6]) - 1e-12
 
     def test_state_subset_rows_match_direct_batch(self):
@@ -211,8 +232,22 @@ class TestHvp:
         v = rng.standard_normal(theta.size)
         rows = np.array([3, 11, 30, 42])
         via_state = models.hvp_from_state(spec, theta, state, v, rows=rows)
-        direct = models.hvp(spec, theta, x[rows], y[rows], v)
+        direct = _hvp(spec, theta, x[rows], y[rows], v)
         np.testing.assert_allclose(via_state, direct, rtol=1e-12)
+
+
+class TestSpec:
+    def test_logistic_regression_is_the_mlp_without_hidden_layers(self):
+        spec = LogisticRegression(input_dim=4, l2_coeff=0.5)
+        assert spec == Mlp(input_dim=4, hidden_dims=(), l2_coeff=0.5)
+        assert models.layer_shapes(spec) == [(1, 4)]
+
+    @pytest.mark.parametrize("input_dim, hidden_dims", [
+        (0, ()), (-1, (4,)), (3, (0,)), (3, (4, -5)),
+    ])
+    def test_nonpositive_widths_rejected(self, input_dim, hidden_dims):
+        with pytest.raises(ConfigError, match="widths"):
+            Mlp(input_dim=input_dim, hidden_dims=hidden_dims)
 
 
 class TestInitParams:
@@ -270,4 +305,31 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(DataFormatError):
+            models.load_checkpoint(str(path))
+
+    def test_logreg_checkpoint_format_is_unchanged(self, tmp_path):
+        # The bytes a "logreg" checkpoint has always had.
+        theta = np.array([0.5, -1.25, 2.0, 0.0, 0.125])
+        header = {"input_dim": 4, "kind": "logreg", "l2_coeff": 0.01,
+                  "num_params": 5}
+        blob = json.dumps(header, sort_keys=True).encode()
+        expected = (b"DFC1" + struct.pack("<I", len(blob)) + blob
+                    + theta.astype("<f8").tobytes())
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(expected)
+        spec, params = models.load_checkpoint(str(old))
+        assert spec == Mlp(input_dim=4, hidden_dims=(), l2_coeff=0.01)
+        np.testing.assert_array_equal(params, theta)
+        resaved = tmp_path / "resaved.ckpt"
+        models.save_checkpoint(str(resaved), spec, params)
+        assert resaved.read_bytes() == expected
+
+    def test_rejects_zero_width_header(self, tmp_path):
+        blob = json.dumps({"hidden_dims": [0], "input_dim": 4,
+                           "kind": "mlp", "l2_coeff": 0.0,
+                           "num_params": 1}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"DFC1" + struct.pack("<I", len(blob)) + blob
+                         + np.zeros(1).tobytes())
+        with pytest.raises(DataFormatError, match="widths"):
             models.load_checkpoint(str(path))

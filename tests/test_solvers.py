@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfcvr import models, solvers
+from dfcvr.errors import ConfigError
 
 
 def _random_spd(rng, p, cond=50.0):
@@ -237,10 +238,10 @@ class TestNeumann:
 
 class TestSqSolve:
     def test_zero_rhs_short_circuits(self):
-        objective = solvers.QuadraticObjective(
-            solvers.MatrixOperator(np.eye(3)), np.zeros(3)
+        result = solvers.sq_solve(
+            solvers.MatrixOperator(np.eye(3)), np.zeros(3),
+            solvers.SolverConfig(),
         )
-        result = solvers.sq_solve(objective, solvers.SolverConfig())
         assert result.converged
         np.testing.assert_array_equal(result.delta, np.zeros(3))
 
@@ -248,11 +249,10 @@ class TestSqSolve:
         rng = np.random.default_rng(12)
         a = _random_spd(rng, 5, cond=5.0)
         b = rng.standard_normal(5)
-        objective = solvers.QuadraticObjective(solvers.MatrixOperator(a), b)
         config = solvers.SolverConfig(
             tol_rel_residual=1e-3, max_epochs=5000, learning_rate=0.05
         )
-        result = solvers.sq_solve(objective, config)
+        result = solvers.sq_solve(solvers.MatrixOperator(a), b, config)
         assert result.converged
         exact = np.linalg.solve(a, b)
         assert np.linalg.norm(result.delta - exact) <= 1e-2 * np.linalg.norm(
@@ -263,16 +263,15 @@ class TestSqSolve:
         rng = np.random.default_rng(13)
         a = _random_spd(rng, 4, cond=3.0)
         b = rng.standard_normal(4)
-        objective = solvers.QuadraticObjective(solvers.MatrixOperator(a), b)
         config = solvers.SolverConfig(
             tol_rel_residual=1e-2, max_epochs=2000, learning_rate=0.05
         )
-        result = solvers.sq_solve(objective, config)
-        assert objective.value(result.delta) < 0.0
+        result = solvers.sq_solve(solvers.MatrixOperator(a), b, config)
+        delta = result.delta
+        assert 0.5 * delta @ a @ delta - b @ delta < 0.0
 
     def test_minibatch_mode_agrees_with_cg(self):
         op, b = _lr_fixture(lam=2e-2)
-        objective = solvers.QuadraticObjective(op, b)
         config = solvers.SolverConfig(
             tol_rel_residual=1e-2,
             max_epochs=60,
@@ -280,7 +279,7 @@ class TestSqSolve:
             learning_rate=0.05,
             seed=7,
         )
-        result = solvers.sq_solve(objective, config)
+        result = solvers.sq_solve(op, b, config)
         assert result.converged
         cg = solvers.cg_solve(
             op, b, solvers.SolverConfig(tol_rel_residual=1e-10)
@@ -292,28 +291,14 @@ class TestSqSolve:
 
     def test_minibatch_gradients_are_unbiased(self):
         op, b = _lr_fixture(n=1000)
-        objective = solvers.QuadraticObjective(op, b)
         rng = np.random.default_rng(14)
         delta = rng.standard_normal(op.dim)
         parts = [
-            objective.minibatch_grad(delta, np.arange(s, s + 200))
+            op.matvec_batch(delta, np.arange(s, s + 200))
             for s in range(0, 1000, 200)
         ]
         np.testing.assert_allclose(
-            np.mean(parts, axis=0), objective.full_grad(delta), atol=1e-9
-        )
-
-    def test_piece_values_average_to_objective_value(self):
-        op, b = _lr_fixture(n=1000)
-        objective = solvers.QuadraticObjective(op, b)
-        rng = np.random.default_rng(15)
-        delta = rng.standard_normal(op.dim)
-        pieces = [
-            objective.piece_value(delta, np.arange(s, s + 200))
-            for s in range(0, 1000, 200)
-        ]
-        np.testing.assert_allclose(
-            np.mean(pieces), objective.value(delta), atol=1e-9
+            np.mean(parts, axis=0), op.matvec(delta), atol=1e-9
         )
 
     def test_deterministic_given_seed(self):
@@ -321,8 +306,8 @@ class TestSqSolve:
         config = solvers.SolverConfig(
             tol_rel_residual=1e-2, max_epochs=3, minibatch_size=256, seed=5
         )
-        first = solvers.sq_solve(solvers.QuadraticObjective(op, b), config)
-        second = solvers.sq_solve(solvers.QuadraticObjective(op, b), config)
+        first = solvers.sq_solve(op, b, config)
+        second = solvers.sq_solve(op, b, config)
         np.testing.assert_array_equal(first.delta, second.delta)
         assert first.trace == second.trace
 
@@ -330,12 +315,11 @@ class TestSqSolve:
         rng = np.random.default_rng(16)
         a = _random_spd(rng, 4, cond=100.0)
         b = rng.standard_normal(4)
-        objective = solvers.QuadraticObjective(solvers.MatrixOperator(a), b)
         config = solvers.SolverConfig(
             tol_rel_residual=1e-10, max_epochs=5000, learning_rate=1e12
         )
         try:
-            result = solvers.sq_solve(objective, config)
+            result = solvers.sq_solve(solvers.MatrixOperator(a), b, config)
         except solvers.SolverError as err:
             assert err.delta is not None
         else:
@@ -357,13 +341,7 @@ class TestSolve:
         op = solvers.MatrixOperator(_random_spd(rng, 8, cond=10.0))
         b = rng.standard_normal(8)
         config = solvers.default_solver_config(kind)
-        direct = {
-            "cg": lambda: solvers.cg_solve(op, b, config),
-            "neumann": lambda: solvers.neumann_solve(op, b, config),
-            "sq": lambda: solvers.sq_solve(
-                solvers.QuadraticObjective(op, b), config
-            ),
-        }[kind]()
+        direct = getattr(solvers, f"{kind}_solve")(op, b, config)
         for result in (solvers.solve(kind, op, b),
                        solvers.solve(kind, op, b, config)):
             np.testing.assert_array_equal(result.delta, direct.delta)
@@ -375,3 +353,26 @@ class TestSolve:
         op = solvers.MatrixOperator(np.eye(2))
         with pytest.raises(ValueError, match="gmres"):
             solvers.solve("gmres", op, np.ones(2))
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol_rel_residual", -1e-3), ("max_iters", 0), ("max_epochs", 0),
+        ("minibatch_size", 0), ("learning_rate", 0.0), ("neumann_terms", 0),
+        ("neumann_scale", 0.0), ("seed", -1),
+    ])
+    def test_bad_config_rejected_before_any_matvec(self, field, value):
+        class Untouchable:
+            dim = 2
+
+            def matvec(self, v):
+                raise AssertionError("the operator was used")
+
+        config = solvers.SolverConfig(**{field: value})
+        for kind in solvers.SOLVERS:
+            with pytest.raises(ConfigError, match=field):
+                solvers.solve(kind, Untouchable(), np.ones(2), config)
+
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_rhs_length_checked(self, kind):
+        op = solvers.MatrixOperator(np.eye(3))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solvers.solve(kind, op, np.ones(2))

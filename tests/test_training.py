@@ -49,7 +49,7 @@ class TestTrainConvergence:
             early_stop_patience=400, seed=0,
         )
         params = training.train(dataset, data.Oracle(), spec, config, dataset)
-        g = models.grad(spec, params, x, y)
+        _, g = models.loss_and_grad(spec, params, x, y)
         assert np.linalg.norm(g) <= 1e-3
 
     def test_oracle_labels_beat_stale_labels_on_calibration(self):
