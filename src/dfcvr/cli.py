@@ -175,6 +175,11 @@ def _model_spec(args: argparse.Namespace, input_dim: int) -> models.ModelSpec:
     hidden_dims = ()
     if args.model == "mlp":
         hidden_dims = _parse_int_list(args.hidden_dims, "hidden-dims")
+        if not hidden_dims:
+            raise ConfigError(
+                "--model mlp needs at least one hidden width; "
+                "--model logreg has none"
+            )
     return models.Mlp(input_dim, hidden_dims, args.l2_coeff)
 
 

@@ -44,6 +44,11 @@ class Mlp:
                 f"model widths must be positive, got input_dim "
                 f"{self.input_dim} and hidden_dims {self.hidden_dims}"
             )
+        if not (np.isfinite(self.l2_coeff) and self.l2_coeff >= 0):
+            raise ConfigError(
+                "l2_coeff must be finite and non-negative, got "
+                f"{self.l2_coeff}"
+            )
 
 
 ModelSpec = Mlp

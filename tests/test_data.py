@@ -1,8 +1,12 @@
 """Data model tests: label views, splits, synthetic generation, CSV."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from dfcvr import data
 from dfcvr.data import (
     PAY_TS_MISSING,
     Dataset,
@@ -345,3 +349,96 @@ class TestCsvRoundTrip:
         path.write_text("click,pay,f0\n5,-1,0.25\n")
         with pytest.raises(DataFormatError, match=":1"):
             load_csv(str(path))
+
+    def test_golden_bytes(self, tmp_path):
+        ds = Dataset(
+            np.array([[0.1, 1e-05], [-0.0, 2.5], [1e16, -0.1]]),
+            np.array([0, 7, 12]),
+            np.array([3, PAY_TS_MISSING, 12]),
+        )
+        expected = (
+            b"click_ts,pay_ts,f0,f1\r\n"
+            b"0,3,0.1,1e-05\r\n"
+            b"7,-1,-0.0,2.5\r\n"
+            b"12,12,1e+16,-0.1\r\n"
+        )
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        assert path.read_bytes() == expected
+        loaded = load_csv(str(path))
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(loaded.click_ts, ds.click_ts)
+        np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
+
+    @pytest.mark.parametrize("row", [
+        "99999999999999999999,-1,0.25", "5,99999999999999999999,0.25",
+    ])
+    def test_timestamp_beyond_int64_names_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"click_ts,pay_ts,f0\n5,-1,0.25\n{row}\n")
+        with pytest.raises(DataFormatError, match=":3: .*int64"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("", "expected 6 columns, got 0"),
+        ("100,50,1,2,3,4", "pay_ts 50 precedes click_ts 100"),
+        ("100,-1,1,2,x,4", "could not convert string to float: 'x'"),
+        ("100,-1,1,2,1e,4", "could not convert string to float: '1e'"),
+        ("100,-1,1,2,3,1e400", "non-finite feature value"),
+    ])
+    def test_bad_row_deep_in_a_large_file_names_line(
+        self, tmp_path, bad_row, message
+    ):
+        ds = generate_synthetic(
+            SyntheticConfig(
+                n=50_000,
+                feature_dim=4,
+                target_cvr=0.3,
+                delay_mean_tau=1000.0,
+                horizon=10_000,
+                seed=6,
+            )
+        )
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        lines = path.read_bytes().split(b"\r\n")
+        lineno = 43_211
+        lines[lineno - 1] = bad_row.encode()
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataFormatError) as info:
+            load_csv(str(path))
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    def test_saved_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
+        path = str(tmp_path / "data.csv")
+        save_csv(ds, path)
+        numpy_parse = data._parse_body
+        parsed = []
+
+        def parse_body(fh, d):
+            parsed.append(numpy_parse(fh, d))
+            return parsed[-1]
+
+        monkeypatch.setattr(data, "_parse_body", parse_body)
+        loaded = load_csv(path)
+        assert parsed[0] is loaded
+        np.testing.assert_array_equal(loaded.features, ds.features)
+        np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_loads_from_a_pipe(self, tmp_path):
+        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        fifo = tmp_path / "clicks.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(path.read_bytes(),)
+        )
+        writer.start()
+        loaded = load_csv(str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)

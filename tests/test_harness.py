@@ -454,6 +454,8 @@ def _bad_input_argv(case, tmp_path):
     if case.endswith("truncated_checkpoint"):
         with open(ckpt, "r+b") as fh:
             fh.truncate(6)
+    big_csv = tmp_path / "big.csv"
+    big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
     config = str(tmp_path / "config.json")
     with open(config, "w") as fh:
         json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
@@ -491,6 +493,12 @@ def _bad_input_argv(case, tmp_path):
         "train_negative_width": [*train, "--hidden-dims=-5"],
         "train_zero_width": [*train, "--hidden-dims", "0"],
         "offline_zero_width_config": ["offline", "--config", config],
+        "train_csv_timestamp_beyond_int64": [
+            "train", "--data", str(big_csv), *train[3:]],
+        "train_negative_l2_coeff": [
+            *train, "--model", "logreg", "--l2-coeff=-5"],
+        "train_mlp_without_widths": [
+            *train, "--model", "mlp", "--hidden-dims", ""],
     }[case]
 
 
@@ -503,6 +511,8 @@ class TestCliExitCodes:
         "update_sq_zero_learning_rate", "update_neumann_zero_terms",
         "update_neumann_zero_scale", "train_negative_width",
         "train_zero_width", "offline_zero_width_config",
+        "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
+        "train_mlp_without_widths",
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case

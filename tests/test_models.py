@@ -249,6 +249,11 @@ class TestSpec:
         with pytest.raises(ConfigError, match="widths"):
             Mlp(input_dim=input_dim, hidden_dims=hidden_dims)
 
+    @pytest.mark.parametrize("l2_coeff", [-5.0, -1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_l2_coeff_rejected(self, l2_coeff):
+        with pytest.raises(ConfigError, match="l2_coeff"):
+            Mlp(input_dim=3, hidden_dims=(), l2_coeff=l2_coeff)
+
 
 class TestInitParams:
     def test_logistic_starts_at_zero(self):
@@ -332,4 +337,13 @@ class TestCheckpoints:
         path.write_bytes(b"DFC1" + struct.pack("<I", len(blob)) + blob
                          + np.zeros(1).tobytes())
         with pytest.raises(DataFormatError, match="widths"):
+            models.load_checkpoint(str(path))
+
+    def test_rejects_negative_l2_coeff_header(self, tmp_path):
+        blob = json.dumps({"input_dim": 4, "kind": "logreg",
+                           "l2_coeff": -5.0, "num_params": 5}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"DFC1" + struct.pack("<I", len(blob)) + blob
+                         + np.zeros(5).tobytes())
+        with pytest.raises(DataFormatError, match="l2_coeff"):
             models.load_checkpoint(str(path))
