@@ -11,6 +11,7 @@ Timestamps are integer seconds. All time windows are half-open `[a, b)`.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import warnings
 from dataclasses import dataclass
@@ -354,10 +355,14 @@ def load_csv(path: str) -> Dataset:
 
     Errors name the offending 1-based line number. Loading what save_csv
     wrote reproduces the dataset exactly. Hand-written files, with quoted
-    fields or spaces around numbers, load as well.
+    fields or spaces around numbers, or a leading UTF-8 byte-order mark,
+    load as well. The file must be UTF-8.
     """
     try:
-        fh = open(path, newline="")
+        # Bytes that are not UTF-8 decode to lone surrogates, so that the
+        # row loop can name their line instead of failing mid-read.
+        fh = open(path, newline="", encoding="utf-8-sig",
+                  errors="surrogateescape")
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
@@ -366,6 +371,8 @@ def load_csv(path: str) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}:1: file is empty") from None
+        if not _is_utf8(header):
+            raise DataFormatError(f"{path}:1: not valid UTF-8")
         if len(header) < 3 or header[0] != "click_ts" or header[1] != "pay_ts":
             raise DataFormatError(
                 f"{path}:1: header must start with click_ts,pay_ts and have "
@@ -390,6 +397,8 @@ def load_csv(path: str) -> Dataset:
         pays: list[int] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
+            if not _is_utf8(row):
+                raise DataFormatError(f"{path}:{lineno}: not valid UTF-8")
             if len(row) != d + 2:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {d + 2} columns, "
@@ -435,6 +444,15 @@ def load_csv(path: str) -> Dataset:
     )
 
 
+def _is_utf8(fields: list[str]) -> bool:
+    """False if the fields hold bytes that did not decode as UTF-8."""
+    try:
+        "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate from surrogateescape
+        return False
+    return True
+
+
 def _parse_body(fh: TextIO, d: int) -> Dataset | None:
     """Parse the rows after the header with numpy, or return ``None``.
 
@@ -445,9 +463,12 @@ def _parse_body(fh: TextIO, d: int) -> Dataset | None:
     line ends are ``\\n`` and ``\\r\\n`` (the csv module also ends a row
     at a lone ``\\r``), numpy found one row per line (it skips blank lines,
     which the loop rejects), and :class:`Dataset` accepts the columns (its
-    checks accept what the loop accepts). ``fh`` is at the file's start.
+    checks accept what the loop accepts). ``fh`` is at the file's start; a
+    byte-order mark there is skipped, as the text layer skips it.
     """
     raw = fh.buffer
+    if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        raw.seek(0)
     n_lf = n_cr = n_crlf = 0
     last = b""
     while block := raw.read(_SCAN_BYTES):

@@ -184,9 +184,11 @@ def build_state(
     masks = []
     z = x
     for w, b in layers[:-1]:
-        a = z @ w.T + b
+        a = z @ w.T
+        a += b
         mask = a > 0.0
-        z = np.where(mask, a, 0.0)
+        # A NaN pre-activation propagates, as it does in predict.
+        z = np.maximum(a, 0.0, out=a)
         inputs.append(z)
         masks.append(mask)
     w, b = layers[-1]
@@ -208,13 +210,31 @@ def build_state(
     deltas[-1] = g[:, None]
     for l in range(len(layers) - 1, 0, -1):
         w_l, _ = layers[l]
-        deltas[l - 1] = (deltas[l] @ w_l) * masks[l - 1]
+        delta = deltas[l] @ w_l
+        delta *= masks[l - 1]
+        deltas[l - 1] = delta
     return BatchState(inputs=inputs, masks=masks, deltas=deltas, h=h,
                       losses=losses)
 
 
-def _reg_grad(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
-    return [spec.l2_coeff * w for w, _ in unpack_params(spec, params)]
+def _grad_from_state(
+    spec: ModelSpec, params: np.ndarray, state: BatchState, mean: bool
+) -> np.ndarray:
+    """Flat BCE gradient over the batch: the mean plus the L2 penalty's
+    gradient if ``mean``, else the plain per-sample sum."""
+    out = np.empty(num_params(spec))
+    grads = unpack_params(spec, out)
+    layers = unpack_params(spec, params)
+    for (dw, db), (w, _), inputs_l, delta_l in zip(
+        grads, layers, state.inputs, state.deltas
+    ):
+        np.matmul(delta_l.T, inputs_l, out=dw)
+        np.sum(delta_l, axis=0, out=db)
+        if mean:
+            dw /= state.n
+            dw += spec.l2_coeff * w
+            db /= state.n
+    return out
 
 
 def loss_and_grad(
@@ -226,13 +246,7 @@ def loss_and_grad(
         float(np.sum(w * w)) for w, _ in unpack_params(spec, params)
     )
     loss = float(np.mean(state.losses)) + reg
-    reg_grads = _reg_grad(spec, params)
-    layers = []
-    for l, (inputs_l, delta_l) in enumerate(zip(state.inputs, state.deltas)):
-        dw = delta_l.T @ inputs_l / state.n + reg_grads[l]
-        db = delta_l.mean(axis=0)
-        layers.append((dw, db))
-    return loss, pack_params(layers)
+    return loss, _grad_from_state(spec, params, state, mean=True)
 
 
 def bce_grad_sum(
@@ -240,10 +254,7 @@ def bce_grad_sum(
 ) -> np.ndarray:
     """Sum of per-sample BCE gradients, excluding the L2 penalty."""
     state = build_state(spec, params, x, y)
-    layers = []
-    for inputs_l, delta_l in zip(state.inputs, state.deltas):
-        layers.append((delta_l.T @ inputs_l, delta_l.sum(axis=0)))
-    return pack_params(layers)
+    return _grad_from_state(spec, params, state, mean=False)
 
 
 def hvp_from_state(
@@ -273,36 +284,49 @@ def hvp_from_state(
     else:
         inputs = [arr[rows] for arr in state.inputs]
         masks = [arr[rows] for arr in state.masks]
-        deltas = [arr[rows] for arr in state.deltas]
+        # deltas[0] is not read: it pairs with the all-zero input tangent.
+        deltas = [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]]
         h = state.h[rows]
     n = inputs[0].shape[0]
 
-    # Forward sweep: directional derivatives of activations.
-    r_inputs: list[np.ndarray] = [np.zeros_like(inputs[0])]
-    for l in range(len(layers) - 1):
+    # Forward sweep: directional derivatives of activations. The input
+    # layer's tangent is zero, so its products with it are skipped.
+    r_inputs: list[np.ndarray] = [np.empty(0)]
+    for l in range(len(layers)):
         w_l, _ = layers[l]
         vw_l, vb_l = vs[l]
-        ra = r_inputs[l] @ w_l.T + inputs[l] @ vw_l.T + vb_l
-        r_inputs.append(ra * masks[l])
-    w_last, _ = layers[-1]
-    vw_last, vb_last = vs[-1]
-    ra_out = r_inputs[-1] @ w_last.T + inputs[-1] @ vw_last.T + vb_last
+        if l == 0:
+            ra = inputs[0] @ vw_l.T
+        else:
+            ra = r_inputs[l] @ w_l.T
+            ra += inputs[l] @ vw_l.T
+        ra += vb_l
+        if l < len(layers) - 1:
+            ra *= masks[l]
+            r_inputs.append(ra)
 
     # Reverse sweep: directional derivatives of the deltas.
     r_deltas = [np.empty(0)] * len(layers)
-    r_deltas[-1] = h[:, None] * ra_out
+    ra *= h[:, None]
+    r_deltas[-1] = ra
     for l in range(len(layers) - 1, 0, -1):
         w_l, _ = layers[l]
         vw_l, _ = vs[l]
-        r_deltas[l - 1] = (r_deltas[l] @ w_l + deltas[l] @ vw_l) * masks[l - 1]
+        r_delta = r_deltas[l] @ w_l
+        r_delta += deltas[l] @ vw_l
+        r_delta *= masks[l - 1]
+        r_deltas[l - 1] = r_delta
 
-    out = []
-    for l in range(len(layers)):
-        rdw = (r_deltas[l].T @ inputs[l] + deltas[l].T @ r_inputs[l]) / n
+    out = np.empty(num_params(spec))
+    for l, (rdw, rdb) in enumerate(unpack_params(spec, out)):
+        np.matmul(r_deltas[l].T, inputs[l], out=rdw)
+        if l > 0:
+            rdw += deltas[l].T @ r_inputs[l]
+        rdw /= n
         rdw += spec.l2_coeff * vs[l][0]
-        rdb = r_deltas[l].mean(axis=0)
-        out.append((rdw, rdb))
-    return pack_params(out)
+        np.sum(r_deltas[l], axis=0, out=rdb)
+        rdb /= n
+    return out
 
 
 def _spec_header(spec: ModelSpec) -> dict:

@@ -45,8 +45,18 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g,
+        # in place but with the same operations in the same order.
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        g2 = (1.0 - self.beta2) * grad
+        g2 *= grad
+        self.v += g2
+        step = self.m / (1.0 - self.beta1**self.t)
+        step *= self.learning_rate
+        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params -= step

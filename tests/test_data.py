@@ -442,3 +442,42 @@ class TestCsvRoundTrip:
         assert not writer.is_alive()
         assert loaded.features.tobytes() == ds.features.tobytes()
         np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
+
+    @pytest.mark.parametrize("numpy_path", [True, False])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch,
+                                        numpy_path):
+        ds = _dataset(np.arange(0, 600, 3), np.full(200, PAY_TS_MISSING))
+        plain = tmp_path / "plain.csv"
+        save_csv(ds, str(plain))
+        body = plain.read_bytes()
+        if not numpy_path:  # a space makes the file one for the row loop
+            body = body.replace(b",-1,", b", -1,", 1)
+            plain.write_bytes(body)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        numpy_parse = data._parse_body
+        parsed = []
+
+        def parse_body(fh, d):
+            parsed.append(numpy_parse(fh, d))
+            return parsed[-1]
+
+        monkeypatch.setattr(data, "_parse_body", parse_body)
+        want = load_csv(str(plain))
+        got = load_csv(str(marked))
+        assert [p is not None for p in parsed] == [numpy_path] * 2
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.click_ts.tobytes() == want.click_ts.tobytes()
+        assert got.pay_ts.tobytes() == want.pay_ts.tobytes()
+
+    @pytest.mark.parametrize("lineno", [1, 2, 4000])
+    def test_bytes_that_are_not_utf8_name_line(self, tmp_path, lineno):
+        path = tmp_path / "latin.csv"
+        save_csv(_dataset(np.arange(5000), np.full(5000, PAY_TS_MISSING)),
+                 str(path))
+        lines = path.read_bytes().split(b"\r\n")
+        lines[lineno - 1] = lines[lineno - 1].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataFormatError) as err:
+            load_csv(str(path))
+        assert str(err.value) == f"{path}:{lineno}: not valid UTF-8"

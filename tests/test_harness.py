@@ -456,6 +456,8 @@ def _bad_input_argv(case, tmp_path):
             fh.truncate(6)
     big_csv = tmp_path / "big.csv"
     big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
+    latin_csv = tmp_path / "latin.csv"
+    latin_csv.write_bytes(b"click_ts,pay_ts,f0\n5,-1,0.25\xff\n")
     config = str(tmp_path / "config.json")
     with open(config, "w") as fh:
         json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
@@ -495,6 +497,8 @@ def _bad_input_argv(case, tmp_path):
         "offline_zero_width_config": ["offline", "--config", config],
         "train_csv_timestamp_beyond_int64": [
             "train", "--data", str(big_csv), *train[3:]],
+        "train_csv_not_utf8": [
+            "train", "--data", str(latin_csv), *train[3:]],
         "train_negative_l2_coeff": [
             *train, "--model", "logreg", "--l2-coeff=-5"],
         "train_mlp_without_widths": [
@@ -512,7 +516,7 @@ class TestCliExitCodes:
         "update_neumann_zero_scale", "train_negative_width",
         "train_zero_width", "offline_zero_width_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
-        "train_mlp_without_widths",
+        "train_mlp_without_widths", "train_csv_not_utf8",
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
