@@ -49,7 +49,6 @@ from .models import (
 )
 from .solvers import (
     DampedHessianOperator,
-    MatrixOperator,
     SolveResult,
     SolverConfig,
     SolverError,
@@ -73,7 +72,6 @@ __all__ = [
     "InfluenceRequest",
     "LabelView",
     "LogisticRegression",
-    "MatrixOperator",
     "MethodMetrics",
     "Mlp",
     "ModelSpec",

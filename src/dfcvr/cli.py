@@ -18,9 +18,9 @@ from .data import (
     Dataset,
     Observed,
     Oracle,
-    Retrain,
     SyntheticConfig,
     arrival_set,
+    baseline_view,
     generate_synthetic,
     labels_of,
     load_csv,
@@ -108,8 +108,10 @@ def _build_parser() -> _Parser:
                          "(default: t)")
     up.add_argument("--include-add", action="store_true",
                     help="also integrate samples arriving in [t, t_prime)")
-    up.add_argument("--solver", choices=tuple(solvers.SOLVERS), default="sq")
-    up.add_argument("--damping", type=float, default=1e-3)
+    up.add_argument("--solver", choices=tuple(solvers.SOLVERS),
+                    default=influence.InfluenceRequest.solver)
+    up.add_argument("--damping", type=float,
+                    default=influence.InfluenceRequest.damping)
     up.add_argument("--tol", type=float, default=None,
                     help="relative-residual tolerance")
     up.add_argument("--solver-max-iters", type=int, default=None)
@@ -185,11 +187,6 @@ def _model_spec(args: argparse.Namespace, input_dim: int) -> models.ModelSpec:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data)
-    views = {
-        "vanilla": Observed(args.t),
-        "retrain": Retrain(args.t_prime),
-        "oracle": Oracle(),
-    }
     splits = window_split(dataset, args.t, args.t_prime, args.d_test)
     spec = _model_spec(args, dataset.feature_dim)
     config = TrainConfig(
@@ -201,7 +198,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     params = train(
         splits.core,
-        views[args.method],
+        baseline_view(args.method, args.t, args.t_prime),
         spec,
         config,
         splits.fit_valid,
@@ -317,7 +314,6 @@ def _load_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(config.data, SyntheticConfig):
             raise ConfigError("--n only applies to synthetic data configs")
         config = replace(config, data=replace(config.data, n=args.n))
-    config.validate()
     return config
 
 

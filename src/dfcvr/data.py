@@ -124,6 +124,16 @@ class Oracle:
 LabelView = Observed | Retrain | Oracle
 
 
+def baseline_view(method: str, t: Timestamp, t_prime: Timestamp) -> LabelView:
+    """Label view a baseline trains under.
+
+    ``vanilla`` sees labels as of the cutoff ``t``, ``retrain`` as of
+    ``t_prime``, and ``oracle`` every eventual conversion.
+    """
+    return {"vanilla": Observed(t), "retrain": Retrain(t_prime),
+            "oracle": Oracle()}[method]
+
+
 def labels_of(dataset: Dataset, view: LabelView) -> np.ndarray:
     """Vectorized labels for every row, as float64 zeros and ones."""
     has_pay = dataset.pay_ts != PAY_TS_MISSING
@@ -251,7 +261,7 @@ class SyntheticConfig:
     drift_angle_per_day: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n <= 0:
             raise ConfigError("n must be positive")
         if self.feature_dim <= 0:
@@ -279,7 +289,6 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     enabled; the intercept is bisected so the mean probability matches
     ``target_cvr``. Identical configs produce identical datasets.
     """
-    config.validate()
     rng = _rng(config.seed)
     n, d = config.n, config.feature_dim
 

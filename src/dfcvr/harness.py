@@ -34,6 +34,7 @@ from .data import (
     SyntheticConfig,
     WindowSplit,
     arrival_set,
+    baseline_view,
     generate_synthetic,
     labels_of,
     load_csv,
@@ -66,16 +67,14 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     methods: tuple[str, ...] = ("vanilla", "retrain", "ifdfm")
     seeds: tuple[int, ...] = (0,)
-    solver: str = "sq"
+    solver: str = influence.InfluenceRequest.solver
     solver_config: solvers.SolverConfig | None = None
-    damping: float = 1e-3
+    damping: float = influence.InfluenceRequest.damping
     timing_sizes: tuple[int, ...] = (25_000, 50_000, 100_000)
     output_dir: str | None = None
 
-    def validate(self) -> None:
-        if isinstance(self.data, SyntheticConfig):
-            self.data.validate()
-        elif not isinstance(self.data, str):
+    def __post_init__(self) -> None:
+        if not isinstance(self.data, (SyntheticConfig, str)):
             raise ConfigError("data must be synthetic settings or a CSV path")
         if not self.t < self.t_prime:
             raise ConfigError("need t < t_prime")
@@ -101,13 +100,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.solver not in solvers.SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.solver_config is not None:
-            self.solver_config.validate()
         if self.damping < 0:
             raise ConfigError("damping must be non-negative")
         if not self.timing_sizes or any(s <= 0 for s in self.timing_sizes):
             raise ConfigError("timing_sizes must be positive")
-        self.train.validate()
 
     def to_json_dict(self) -> dict:
         out = _to_json(self)
@@ -119,12 +115,10 @@ class ExperimentConfig:
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             data = _data_from_json(raw["data"])
-            config = _from_json(cls, raw, "config", data=data,
-                                model=_model_from_json(raw["model"], data))
+            return _from_json(cls, raw, "config", data=data,
+                              model=_model_from_json(raw["model"], data))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from None
-        config.validate()
-        return config
 
 
 # The JSON codec for experiment configs. Every block is a dataclass read
@@ -241,15 +235,11 @@ def _train_baseline(
     method: str,
     seed: int,
 ) -> tuple[np.ndarray, float]:
-    views = {
-        "vanilla": Observed(config.t),
-        "retrain": Retrain(config.t_prime),
-        "oracle": Oracle(),
-    }
+    view = baseline_view(method, config.t, config.t_prime)
     train_cfg = replace(config.train, seed=seed)
     start = time.perf_counter()
     params = train(
-        splits.core, views[method], config.model, train_cfg, splits.fit_valid
+        splits.core, view, config.model, train_cfg, splits.fit_valid
     )
     return params, time.perf_counter() - start
 
@@ -379,7 +369,6 @@ def run_offline(config: ExperimentConfig) -> dict:
     label reversal only. Everything is scored on the test day with true
     labels, with RI computed against the vanilla/retrain gap.
     """
-    config.validate()
     with _stage("data"):
         dataset = _load_data(config)
         splits = window_split(dataset, config.t, config.t_prime,
@@ -455,7 +444,6 @@ def run_online(config: ExperimentConfig) -> dict:
     new-arrival integration, and a full retrain on all data before the
     evaluation time. RI is computed against the pretrain/retrain gap.
     """
-    config.validate()
     with _stage("data"):
         dataset = _load_data(config)
         splits = window_split(dataset, config.t, config.t_prime,
@@ -530,7 +518,6 @@ def run_timing(config: ExperimentConfig) -> dict:
     reports update/train ratios. Generation and IO are excluded from all
     timed stages.
     """
-    config.validate()
     if not isinstance(config.data, SyntheticConfig):
         raise ConfigError("the timing protocol requires synthetic data")
     seed = config.seeds[0]
@@ -588,7 +575,6 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     ``solver_config``. Solver failures are recorded per solver instead of
     aborting the comparison.
     """
-    config.validate()
     seed = config.seeds[0]
     with _stage("data"):
         dataset = _load_data(config)

@@ -25,7 +25,7 @@ from .data import Dataset, LabelView, labels_of
 from .errors import ConfigError, NumericalError
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfluenceRequest:
     """What to correct and how to solve the resulting linear system.
 
@@ -43,7 +43,15 @@ class InfluenceRequest:
     solver: str = "sq"
     solver_config: solvers.SolverConfig | None = None
     damping: float = 1e-3
-    hvp_batch_size: int = 8192
+    hvp_batch_size: int = solvers.HVP_BATCH_SIZE
+
+    def __post_init__(self) -> None:
+        if self.solver not in solvers.SOLVERS:
+            raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.damping < 0:
+            raise ConfigError("damping must be non-negative")
+        if self.hvp_batch_size < 1:
+            raise ConfigError("hvp_batch_size must be positive")
 
 
 @dataclass
@@ -136,13 +144,8 @@ def delta_total(
     best iterate, when the configured solver cannot reach its tolerance.
     """
     start = time.perf_counter()
-    # Checked first, so that a bad solver or damping fails before any work.
-    config = solvers.default_solver_config(request.solver)
-    if request.solver_config is not None:
-        config = request.solver_config
-    config.validate()
-    if request.damping < 0:
-        raise ConfigError("damping must be non-negative")
+    config = (request.solver_config
+              or solvers.default_solver_config(request.solver))
     rhs = build_rhs(spec, theta, dataset, view, request)
     if float(np.linalg.norm(rhs.b)) == 0.0:
         return UpdateReport(

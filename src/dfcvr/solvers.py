@@ -38,7 +38,7 @@ class SolverConfig:
     neumann_scale: float | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.tol_rel_residual < 0:
             raise ConfigError("tol_rel_residual must be non-negative")
         for name in ("max_iters", "max_epochs", "minibatch_size",
@@ -59,10 +59,14 @@ class SolverConfig:
 SOLVERS = {"cg": 1e-4, "neumann": 1e-4, "sq": 1e-2}
 
 
+# Rows per chunk of a full-batch HVP; chunks are accumulated in index order.
+HVP_BATCH_SIZE = 8192
+
+
 def default_solver_config(kind: str) -> SolverConfig:
     """Shared defaults with ``kind``'s tolerance; rejects unknown kinds."""
     if kind not in SOLVERS:
-        raise ValueError(f"unknown solver kind {kind!r}")
+        raise ConfigError(f"unknown solver kind {kind!r}")
     return SolverConfig(tol_rel_residual=SOLVERS[kind])
 
 
@@ -100,23 +104,6 @@ class SolverNotConvergedError(SolverError):
     """Residual stayed above tolerance at the iteration cap."""
 
 
-class MatrixOperator:
-    """Dense symmetric matrix wrapped as a linear operator."""
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        self._matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._matrix @ v
-
-
 class DampedHessianOperator:
     """``v -> (hessian(theta) + lam I) v`` over a frozen training batch.
 
@@ -134,12 +121,12 @@ class DampedHessianOperator:
         x: np.ndarray,
         y: np.ndarray,
         lam: float,
-        hvp_batch_size: int = 8192,
+        hvp_batch_size: int = HVP_BATCH_SIZE,
     ) -> None:
         if lam < 0:
-            raise ValueError("damping lam must be non-negative")
+            raise ConfigError("damping lam must be non-negative")
         if hvp_batch_size <= 0:
-            raise ValueError("hvp_batch_size must be positive")
+            raise ConfigError("hvp_batch_size must be positive")
         self.spec = spec
         self.theta = theta.copy()
         self.lam = lam
@@ -370,14 +357,12 @@ def solve(
 ) -> SolveResult:
     """Solve ``operator @ delta = b`` with the registered solver ``kind``.
 
-    A None ``config`` uses :func:`default_solver_config`; a given one is
-    validated first. The solvers are looked up as module globals on every
-    call, so that a wrapper installed on ``solvers.cg_solve`` sees the
-    calls made here.
+    A None ``config`` uses :func:`default_solver_config`. The solvers are
+    looked up as module globals on every call, so that a wrapper installed
+    on ``solvers.cg_solve`` sees the calls made here.
     """
     default = default_solver_config(kind)  # rejects an unknown kind
     config = default if config is None else config
-    config.validate()
     if b.shape != (operator.dim,):
         raise ValueError("right-hand side length does not match operator")
     run = {"cg": cg_solve, "neumann": neumann_solve, "sq": sq_solve}[kind]

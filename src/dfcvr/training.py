@@ -30,7 +30,7 @@ class TrainConfig:
     seed: int = 0
     l2_coeff: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
         if self.learning_rate <= 0:
@@ -73,7 +73,6 @@ def train(
     parameters count as an epoch-zero candidate, so a diverging run still
     returns something finite.
     """
-    config.validate()
     if len(dataset) == 0 or len(valid) == 0:
         raise ConfigError("training and validation sets must be non-empty")
     if config.l2_coeff is not None:

@@ -15,6 +15,8 @@ import numpy as np
 from dfcvr import data, harness, influence, metrics, models, solvers
 from dfcvr.training import TrainConfig
 
+from dense_operator import MatrixOperator
+
 DAY = 86400
 
 
@@ -210,7 +212,7 @@ class TestAcceptance:
             a = _random_spd(rng, p, cond)
             b = rng.standard_normal(p)
             x_star = np.linalg.solve(a, b)
-            op = solvers.MatrixOperator(a)
+            op = MatrixOperator(a)
 
             r_cg = solvers.cg_solve(
                 op, b, solvers.SolverConfig(tol_rel_residual=1e-10,

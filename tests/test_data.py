@@ -293,11 +293,11 @@ class TestGenerateSynthetic:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            self._config(target_cvr=1.5).validate()
+            self._config(target_cvr=1.5)
         with pytest.raises(ConfigError):
-            self._config(n=0).validate()
+            self._config(n=0)
         with pytest.raises(ConfigError):
-            self._config(delay_mean_tau=0.0).validate()
+            self._config(delay_mean_tau=0.0)
 
 
 class TestCsvRoundTrip:

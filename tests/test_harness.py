@@ -115,22 +115,22 @@ class TestExperimentConfig:
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):
-            _tiny_config(t=11 * DAY, t_prime=8 * DAY).validate()
+            _tiny_config(t=11 * DAY, t_prime=8 * DAY)
         with pytest.raises(ConfigError):
-            _tiny_config(t_prime=8 * DAY + DAY // 2).validate()
+            _tiny_config(t_prime=8 * DAY + DAY // 2)
         with pytest.raises(ConfigError):
-            _tiny_config(methods=("vanilla", "mystery")).validate()
+            _tiny_config(methods=("vanilla", "mystery"))
         with pytest.raises(ConfigError):
-            _tiny_config(seeds=()).validate()
+            _tiny_config(seeds=())
         with pytest.raises(ConfigError):
-            _tiny_config(damping=-1.0).validate()
+            _tiny_config(damping=-1.0)
         with pytest.raises(ConfigError):
-            _tiny_config(solver="gmres").validate()
+            _tiny_config(solver="gmres")
         with pytest.raises(ConfigError):
             bad = solvers.SolverConfig(neumann_terms=0)
-            _tiny_config(solver_config=bad).validate()
+            _tiny_config(solver_config=bad)
         with pytest.raises(ConfigError):
-            _tiny_config(timing_sizes=(0,)).validate()
+            _tiny_config(timing_sizes=(0,))
 
 
 # Pinned to_json_dict output of two configs, key order included: reports

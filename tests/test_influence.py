@@ -371,27 +371,26 @@ class TestDeltaTotal:
         assert info.value.residual_rel is not None
 
     def test_unknown_solver_rejected(self):
-        dataset, flips, spec, theta = _fitted_lr(seed=11)
-        request = influence.InfluenceRequest(
-            reversal_indices=flips, solver="lbfgs"
-        )
-        with pytest.raises(ValueError, match="solver"):
-            influence.delta_total(
-                spec, theta, dataset, data.Observed(T), request
+        with pytest.raises(ConfigError, match="solver"):
+            influence.InfluenceRequest(
+                reversal_indices=np.array([], dtype=np.int64),
+                solver="lbfgs",
             )
 
     @pytest.mark.parametrize("field, value", [
         ("damping", -1.0),
-        ("solver_config", solvers.SolverConfig(max_iters=0)),
+        ("solver_config", {"max_iters": 0}),
     ])
     def test_bad_settings_rejected_before_any_work(self, field, value):
-        # An empty reversal set would short-circuit to a zero update.
-        dataset, _, spec, theta = _fitted_lr(seed=11)
-        request = _cg_request(np.array([], dtype=np.int64))
-        setattr(request, field, value)
-        with pytest.raises(ConfigError):
-            influence.delta_total(
-                spec, theta, dataset, data.Observed(T), request
+        # Neither the request nor its solver settings can be built, so no
+        # update can start from them.
+        named = "damping" if field == "damping" else "max_iters"
+        with pytest.raises(ConfigError, match=named):
+            if field == "solver_config":
+                value = solvers.SolverConfig(**value)
+            influence.InfluenceRequest(
+                reversal_indices=np.array([], dtype=np.int64),
+                solver="cg", **{field: value},
             )
 
     def test_trained_mlp_update_behaves_like_reversal(self):

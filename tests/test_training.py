@@ -213,16 +213,16 @@ class TestFailureModes:
             training.train(dataset, data.Oracle(), spec, config, empty)
 
     def test_config_validation(self):
-        for bad in (
-            training.TrainConfig(batch_size=0),
-            training.TrainConfig(learning_rate=0.0),
-            training.TrainConfig(max_epochs=0),
-            training.TrainConfig(early_stop_patience=0),
-            training.TrainConfig(seed=-1),
-            training.TrainConfig(l2_coeff=-0.5),
+        for field, value in (
+            ("batch_size", 0),
+            ("learning_rate", 0.0),
+            ("max_epochs", 0),
+            ("early_stop_patience", 0),
+            ("seed", -1),
+            ("l2_coeff", -0.5),
         ):
-            with pytest.raises(ConfigError):
-                bad.validate()
+            with pytest.raises(ConfigError, match=field):
+                training.TrainConfig(**{field: value})
 
 
 class TestL2Override:
