@@ -3,7 +3,7 @@
 Conversion labels arrive late: a model trained at time T sees clicks that
 will convert after T as negatives. This package trains BCE models on such
 logs and then corrects the trained parameters directly, by solving a
-damped Hessian system for the effect of reversing stale labels and
+damped curvature system for the effect of reversing stale labels and
 integrating newly arrived samples, instead of retraining from scratch.
 """
 

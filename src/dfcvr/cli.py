@@ -30,6 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, DataFormatError, DfcvrError, NumericalError
 from .harness import (
+    MODEL_DEFAULTS,
     ExperimentConfig,
     compare_solvers,
     run_offline,
@@ -84,15 +85,20 @@ def _build_parser() -> _Parser:
                     help="evaluation time (seconds)")
     tr.add_argument("--d-test", type=int, required=True,
                     help="test/validation window length (seconds)")
-    tr.add_argument("--model", choices=("logreg", "mlp"), default="mlp")
-    tr.add_argument("--hidden-dims", default="256,256,128",
+    tr.add_argument("--model", choices=("logreg", "mlp"),
+                    default=MODEL_DEFAULTS["kind"])
+    tr.add_argument("--hidden-dims",
+                    default=",".join(map(str, MODEL_DEFAULTS["hidden_dims"])),
                     help="comma-separated MLP widths")
-    tr.add_argument("--l2-coeff", type=float, default=0.0)
-    tr.add_argument("--batch-size", type=int, default=1024)
-    tr.add_argument("--learning-rate", type=float, default=1e-3)
-    tr.add_argument("--max-epochs", type=int, default=30)
-    tr.add_argument("--patience", type=int, default=5)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--l2-coeff", type=float,
+                    default=MODEL_DEFAULTS["l2_coeff"])
+    tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--learning-rate", type=float,
+                    default=TrainConfig.learning_rate)
+    tr.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    tr.add_argument("--patience", type=int,
+                    default=TrainConfig.early_stop_patience)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--out", required=True, help="output checkpoint path")
     tr.add_argument("--metrics-log", default=None,
                     help="optional per-epoch CSV log path")
@@ -112,6 +118,10 @@ def _build_parser() -> _Parser:
                     default=influence.InfluenceRequest.solver)
     up.add_argument("--damping", type=float,
                     default=influence.InfluenceRequest.damping)
+    up.add_argument("--curvature", choices=models.CURVATURES,
+                    default=influence.InfluenceRequest.curvature,
+                    help="matrix of the damped system: the Gauss-Newton "
+                         "approximation or the exact Hessian")
     up.add_argument("--tol", type=float, default=None,
                     help="relative-residual tolerance")
     up.add_argument("--solver-max-iters", type=int, default=None)
@@ -266,6 +276,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         solver=args.solver,
         solver_config=solver_config,
         damping=args.damping,
+        curvature=args.curvature,
     )
     report = influence.delta_total(spec, params, core, Observed(args.t),
                                    request)

@@ -257,20 +257,35 @@ def bce_grad_sum(
     return _grad_from_state(spec, params, state, mean=False)
 
 
+# Curvature matrices :func:`hvp_from_state` can multiply by: the
+# generalized Gauss-Newton matrix and the exact Hessian.
+CURVATURES = ("ggn", "hessian")
+
+
 def hvp_from_state(
     spec: ModelSpec,
     params: np.ndarray,
     state: BatchState,
     v: np.ndarray,
     rows: np.ndarray | None = None,
+    curvature: str = "hessian",
 ) -> np.ndarray:
-    """Hessian-vector product via a forward-over-reverse sweep.
+    """Curvature-vector product via a forward-over-reverse sweep.
 
     Uses the cached state at the parameters it was built with; ``rows``
     restricts the product to a subset of the cached batch (the mean is
     then over that subset). The ReLU second derivative vanishes almost
     everywhere, so only activity masks from the cache are needed.
+
+    ``curvature="hessian"`` gives the exact Hessian. ``"ggn"`` gives the
+    generalized Gauss-Newton matrix ``J^T Diag(h) J / n`` plus the L2
+    term, with ``J`` the Jacobian of the logits: the same sweep without
+    the two products with the loss derivatives ``deltas``. It is positive
+    semi-definite, and equals the Hessian without hidden layers.
     """
+    if curvature not in CURVATURES:
+        raise ConfigError(f"unknown curvature {curvature!r}")
+    ggn = curvature == "ggn"
     layers = unpack_params(spec, params)
     if v.shape != (num_params(spec),):
         raise ValueError("direction vector length does not match the model")
@@ -285,7 +300,9 @@ def hvp_from_state(
         inputs = [arr[rows] for arr in state.inputs]
         masks = [arr[rows] for arr in state.masks]
         # deltas[0] is not read: it pairs with the all-zero input tangent.
-        deltas = [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]]
+        # The Gauss-Newton product reads none of them.
+        deltas = [] if ggn else (
+            [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]])
         h = state.h[rows]
     n = inputs[0].shape[0]
 
@@ -305,22 +322,24 @@ def hvp_from_state(
             ra *= masks[l]
             r_inputs.append(ra)
 
-    # Reverse sweep: directional derivatives of the deltas.
+    # Reverse sweep: directional derivatives of the deltas (for the
+    # Gauss-Newton product, the logit tangent scaled by h and sent back
+    # through the network as a gradient is).
     r_deltas = [np.empty(0)] * len(layers)
     ra *= h[:, None]
     r_deltas[-1] = ra
     for l in range(len(layers) - 1, 0, -1):
         w_l, _ = layers[l]
-        vw_l, _ = vs[l]
         r_delta = r_deltas[l] @ w_l
-        r_delta += deltas[l] @ vw_l
+        if not ggn:
+            r_delta += deltas[l] @ vs[l][0]
         r_delta *= masks[l - 1]
         r_deltas[l - 1] = r_delta
 
     out = np.empty(num_params(spec))
     for l, (rdw, rdb) in enumerate(unpack_params(spec, out)):
         np.matmul(r_deltas[l].T, inputs[l], out=rdw)
-        if l > 0:
+        if l > 0 and not ggn:
             rdw += deltas[l].T @ r_inputs[l]
         rdw /= n
         rdw += spec.l2_coeff * vs[l][0]

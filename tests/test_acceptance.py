@@ -467,9 +467,10 @@ class TestAcceptance:
         elapsed = time.perf_counter() - start
         record_property(
             "detail",
-            "update/train ratios "
+            "update/train ratios (at update residual) "
             + ", ".join(
-                f"{row['n']}: {row['update_over_train']:.3f}"
+                f"{row['n']}: {row['update_over_train']:.3f} "
+                f"({row['update_residual_rel']:.3g})"
                 for row in rows
             )
             + f", {elapsed:.0f}s",

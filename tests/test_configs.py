@@ -65,11 +65,13 @@ _BAD = [
     ("ExperimentConfig", "seeds", (), "seeds"),
     ("ExperimentConfig", "solver", "gmres", "solver"),
     ("ExperimentConfig", "damping", -1.0, "damping"),
+    ("ExperimentConfig", "curvature", "fisher", "curvature"),
     ("ExperimentConfig", "timing_sizes", (0,), "timing_sizes"),
     ("ExperimentConfig", "timing_sizes", (), "timing_sizes"),
     ("InfluenceRequest", "solver", "gmres", "solver"),
     ("InfluenceRequest", "damping", -1.0, "damping"),
     ("InfluenceRequest", "hvp_batch_size", 0, "hvp_batch_size"),
+    ("InfluenceRequest", "curvature", "fisher", "curvature"),
 ]
 _IDS = [f"{kind}-{field}-{value!r}" for kind, field, value, _ in _BAD]
 
@@ -105,6 +107,23 @@ def test_protocols_and_cli_take_the_request_defaults():
         "update", "--checkpoint", "c", "--data", "d", "--t", "1",
         "--t-prime", "2", "--out", "o"])
     for settings in (config, args):
-        assert (settings.solver, settings.damping) == (request.solver,
-                                                       request.damping)
+        assert (settings.solver, settings.damping, settings.curvature) == (
+            request.solver, request.damping, request.curvature)
     assert request.hvp_batch_size == solvers.HVP_BATCH_SIZE
+    assert request.curvature == solvers.CURVATURE
+
+
+def test_cli_train_takes_the_library_training_defaults():
+    args = cli._build_parser().parse_args([
+        "train", "--data", "d", "--t", "2", "--t-prime", "3",
+        "--d-test", "1", "--out", "o"])
+    train = training.TrainConfig()
+    assert (args.batch_size, args.learning_rate, args.max_epochs,
+            args.patience, args.seed) == (
+        train.batch_size, train.learning_rate, train.max_epochs,
+        train.early_stop_patience, train.seed)
+    model = harness.MODEL_DEFAULTS
+    assert args.model == model["kind"]
+    assert cli._parse_int_list(args.hidden_dims, "hidden-dims") == (
+        model["hidden_dims"])
+    assert args.l2_coeff == model["l2_coeff"]
