@@ -118,10 +118,6 @@ def _build_parser() -> _Parser:
                     default=influence.InfluenceRequest.solver)
     up.add_argument("--damping", type=float,
                     default=influence.InfluenceRequest.damping)
-    up.add_argument("--curvature", choices=models.CURVATURES,
-                    default=influence.InfluenceRequest.curvature,
-                    help="matrix of the damped system: the Gauss-Newton "
-                         "approximation or the exact Hessian")
     up.add_argument("--tol", type=float, default=None,
                     help="relative-residual tolerance")
     up.add_argument("--solver-max-iters", type=int, default=None)
@@ -276,7 +272,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         solver=args.solver,
         solver_config=solver_config,
         damping=args.damping,
-        curvature=args.curvature,
     )
     report = influence.delta_total(spec, params, core, Observed(args.t),
                                    request)

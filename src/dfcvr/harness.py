@@ -44,7 +44,7 @@ from .data import (
 from .errors import ConfigError, DataFormatError, DfcvrError
 from .training import TrainConfig, train
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 1
 
 VALID_METHODS = ("vanilla", "retrain", "oracle", "ifdfm", "ifdfm_wo_add")
 ONLINE_METHODS = ("pretrain", "ifdfm", "ifdfm_wo_add", "retrain_online")
@@ -70,7 +70,6 @@ class ExperimentConfig:
     solver: str = influence.InfluenceRequest.solver
     solver_config: solvers.SolverConfig | None = None
     damping: float = influence.InfluenceRequest.damping
-    curvature: str = influence.InfluenceRequest.curvature
     timing_sizes: tuple[int, ...] = (25_000, 50_000, 100_000)
     output_dir: str | None = None
 
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.damping < 0:
             raise ConfigError("damping must be non-negative")
-        if self.curvature not in models.CURVATURES:
-            raise ConfigError(f"unknown curvature {self.curvature!r}")
         if not self.timing_sizes or any(s <= 0 for s in self.timing_sizes):
             raise ConfigError("timing_sizes must be positive")
 
@@ -266,7 +263,6 @@ def _influence_update(
         solver=config.solver,
         solver_config=config.solver_config,
         damping=config.damping,
-        curvature=config.curvature,
     )
     report = influence.delta_total(
         spec, theta, splits.core, Observed(config.t), request
@@ -574,8 +570,7 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     """Run every registered solver on one shared system; record the traces.
 
     Trains the vanilla model once, builds the label-reversal right-hand
-    side, and solves the same damped system, at the config's
-    ``curvature``, with each kind in
+    side, and solves the same damped system with each kind in
     ``solvers.SOLVERS``, at its default settings unless the config sets
     ``solver_config``. Solver failures are recorded per solver instead of
     aborting the comparison.
@@ -596,7 +591,7 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     rhs = influence.build_rhs(spec, theta, splits.core, view, request)
     operator = solvers.DampedHessianOperator(
         spec, theta, splits.core.features, labels_of(splits.core, view),
-        lam=config.damping, curvature=config.curvature,
+        lam=config.damping,
     )
     summary: dict[str, Any] = {}
     traces: dict[str, list[float]] = {}

@@ -9,8 +9,8 @@ where ``b`` aggregates per-sample BCE gradient differences. Reversing a
 fake negative ``j`` to positive contributes ``grad L(x_j, 0) - grad
 L(x_j, 1)``; integrating a newly arrived sample ``k`` contributes
 ``-grad L(x_k, y_k)``. All contributions are scaled by ``1/n`` for the
-``n`` training samples, matching the mean-loss curvature ``C``: the
-Gauss-Newton matrix by default, or the exact Hessian. Damping ``lam``
+``n`` training samples, matching the mean-loss curvature ``C``, the
+Gauss-Newton approximation of the Hessian. Damping ``lam``
 keeps the system positive definite for non-convex models.
 """
 
@@ -34,8 +34,7 @@ class InfluenceRequest:
     optional (dataset, labels) pair of post-cutoff samples. Either
     correction can be toggled off. ``solver`` names a kind in
     ``solvers.SOLVERS``; a None ``solver_config`` uses that solver's
-    defaults. ``curvature`` names the matrix of the damped system, one
-    of ``models.CURVATURES``.
+    defaults.
     """
 
     reversal_indices: np.ndarray
@@ -46,7 +45,6 @@ class InfluenceRequest:
     solver_config: solvers.SolverConfig | None = None
     damping: float = 1e-3
     hvp_batch_size: int = solvers.HVP_BATCH_SIZE
-    curvature: str = solvers.CURVATURE
 
     def __post_init__(self) -> None:
         if self.solver not in solvers.SOLVERS:
@@ -55,8 +53,6 @@ class InfluenceRequest:
             raise ConfigError("damping must be non-negative")
         if self.hvp_batch_size < 1:
             raise ConfigError("hvp_batch_size must be positive")
-        if self.curvature not in models.CURVATURES:
-            raise ConfigError(f"unknown curvature {self.curvature!r}")
 
 
 @dataclass
@@ -167,7 +163,6 @@ def delta_total(
         labels_of(dataset, view),
         lam=request.damping,
         hvp_batch_size=request.hvp_batch_size,
-        curvature=request.curvature,
     )
     result = solvers.solve(request.solver, operator, rhs.b, config)
     if not result.converged:

@@ -281,7 +281,9 @@ def hvp_from_state(
     generalized Gauss-Newton matrix ``J^T Diag(h) J / n`` plus the L2
     term, with ``J`` the Jacobian of the logits: the same sweep without
     the two products with the loss derivatives ``deltas``. It is positive
-    semi-definite, and equals the Hessian without hidden layers.
+    semi-definite, and equals the Hessian without hidden layers. Updates
+    solve with G (``solvers.DampedHessianOperator``); the exact Hessian is
+    the reference the tests check the sweep against.
     """
     if curvature not in CURVATURES:
         raise ConfigError(f"unknown curvature {curvature!r}")

@@ -1,7 +1,7 @@
 """Matrix-free solvers for damped curvature systems ``(C + lam I) delta = b``.
 
-The curvature ``C``, the exact Hessian or its Gauss-Newton approximation,
-is only touched through HVPs. Three solvers cover different
+The curvature ``C``, the Gauss-Newton approximation of the Hessian, is
+only touched through curvature-vector products. Three solvers cover different
 regimes: conjugate gradients for exact solves on positive-definite
 systems, a truncated power series for a fixed-budget approximation, and a
 stochastic quadratic minimizer (Adam on minibatch curvature) that scales
@@ -63,10 +63,6 @@ SOLVERS = {"cg": 1e-4, "neumann": 1e-4, "sq": 1e-2}
 # Rows per chunk of a full-batch HVP; chunks are accumulated in index order.
 HVP_BATCH_SIZE = 8192
 
-# The curvature an update solves with, one of ``models.CURVATURES``: the
-# Gauss-Newton matrix, positive semi-definite for every model.
-CURVATURE = "ggn"
-
 
 def default_solver_config(kind: str) -> SolverConfig:
     """Shared defaults with ``kind``'s tolerance; rejects unknown kinds."""
@@ -112,8 +108,8 @@ class SolverNotConvergedError(SolverError):
 class DampedHessianOperator:
     """``v -> (C(theta) + lam I) v`` over a frozen training batch.
 
-    ``C`` is the ``curvature`` named in ``models.CURVATURES``: the
-    Gauss-Newton matrix (the default) or the exact Hessian. The
+    ``C`` is the Gauss-Newton matrix, positive semi-definite for every
+    model, so the damped system is positive definite for ``lam > 0``. The
     forward/backward state at ``theta`` is computed once and cached;
     every HVP is then a single curvature sweep, evaluated in minibatches
     of ``hvp_batch_size`` accumulated in index order. ``matvec_batch``
@@ -129,19 +125,15 @@ class DampedHessianOperator:
         y: np.ndarray,
         lam: float,
         hvp_batch_size: int = HVP_BATCH_SIZE,
-        curvature: str = CURVATURE,
     ) -> None:
         if lam < 0:
             raise ConfigError("damping lam must be non-negative")
         if hvp_batch_size <= 0:
             raise ConfigError("hvp_batch_size must be positive")
-        if curvature not in models.CURVATURES:
-            raise ConfigError(f"unknown curvature {curvature!r}")
         self.spec = spec
         self.theta = theta.copy()
         self.lam = lam
         self.hvp_batch_size = hvp_batch_size
-        self.curvature = curvature
         self._state = models.build_state(spec, self.theta, x, y)
 
     @property
@@ -159,7 +151,7 @@ class DampedHessianOperator:
             stop = min(start + self.hvp_batch_size, n)
             part = models.hvp_from_state(
                 self.spec, self.theta, self._state, v,
-                rows=slice(start, stop), curvature=self.curvature,
+                rows=slice(start, stop), curvature="ggn",
             )
             acc += part * ((stop - start) / n)
         return acc + self.lam * v
@@ -167,7 +159,7 @@ class DampedHessianOperator:
     def matvec_batch(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
         part = models.hvp_from_state(
             self.spec, self.theta, self._state, v, rows=rows,
-            curvature=self.curvature,
+            curvature="ggn",
         )
         return part + self.lam * v
 

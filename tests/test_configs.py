@@ -65,13 +65,11 @@ _BAD = [
     ("ExperimentConfig", "seeds", (), "seeds"),
     ("ExperimentConfig", "solver", "gmres", "solver"),
     ("ExperimentConfig", "damping", -1.0, "damping"),
-    ("ExperimentConfig", "curvature", "fisher", "curvature"),
     ("ExperimentConfig", "timing_sizes", (0,), "timing_sizes"),
     ("ExperimentConfig", "timing_sizes", (), "timing_sizes"),
     ("InfluenceRequest", "solver", "gmres", "solver"),
     ("InfluenceRequest", "damping", -1.0, "damping"),
     ("InfluenceRequest", "hvp_batch_size", 0, "hvp_batch_size"),
-    ("InfluenceRequest", "curvature", "fisher", "curvature"),
 ]
 _IDS = [f"{kind}-{field}-{value!r}" for kind, field, value, _ in _BAD]
 
@@ -107,10 +105,9 @@ def test_protocols_and_cli_take_the_request_defaults():
         "update", "--checkpoint", "c", "--data", "d", "--t", "1",
         "--t-prime", "2", "--out", "o"])
     for settings in (config, args):
-        assert (settings.solver, settings.damping, settings.curvature) == (
-            request.solver, request.damping, request.curvature)
+        assert (settings.solver, settings.damping) == (request.solver,
+                                                       request.damping)
     assert request.hvp_batch_size == solvers.HVP_BATCH_SIZE
-    assert request.curvature == solvers.CURVATURE
 
 
 def test_cli_train_takes_the_library_training_defaults():

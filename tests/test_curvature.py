@@ -3,8 +3,9 @@
 ``hvp_from_state(..., curvature="ggn")`` is checked against a dense
 oracle built from central differences of the logits, for symmetry and
 positive semi-definiteness over drawn widths, and for equality with the
-exact Hessian when the model has no hidden layers. Every entry point
-that takes a curvature rejects an unknown one with ``ConfigError``.
+exact Hessian when the model has no hidden layers.
+``DampedHessianOperator``, which every update solves with, multiplies
+by G.
 """
 
 import numpy as np
@@ -12,11 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcvr import cli, data, harness, influence, models, solvers
+from dfcvr import models, solvers
 from dfcvr.errors import ConfigError
 from dfcvr.models import LogisticRegression, Mlp
-
-DAY = 86400
 
 
 def _instance(seed, spec, n=25, scale=0.5):
@@ -130,22 +129,20 @@ def test_logistic_regression_ggn_is_the_hessian_bytewise(rows):
 
 
 class TestOperator:
-    def test_default_is_ggn_and_matvec_uses_it(self):
+    def test_matvec_is_damped_ggn(self):
         spec = Mlp(input_dim=3, hidden_dims=(4,), l2_coeff=0.01)
         rng, theta, x, y = _instance(3, spec)
-        op = solvers.DampedHessianOperator(spec, theta, x, y, 0.1)
-        assert op.curvature == solvers.CURVATURE == "ggn"
         v = rng.standard_normal(theta.size)
-        for curvature in models.CURVATURES:
+        for batch in (7, solvers.HVP_BATCH_SIZE):
             op = solvers.DampedHessianOperator(spec, theta, x, y, 0.1,
-                                               curvature=curvature)
+                                               hvp_batch_size=batch)
             np.testing.assert_allclose(
                 op.matvec(v),
-                _dense(spec, theta, x, y, curvature) @ v + 0.1 * v,
+                _dense(spec, theta, x, y, "ggn") @ v + 0.1 * v,
                 rtol=1e-12, atol=1e-14,
             )
 
-    def test_cg_never_meets_non_positive_curvature_under_ggn(self):
+    def test_cg_never_meets_non_positive_curvature(self):
         # Undamped and at parameters far from any optimum, the exact
         # Hessian of this network is indefinite; G is not.
         spec = Mlp(input_dim=3, hidden_dims=(6, 4))
@@ -159,80 +156,9 @@ class TestOperator:
         assert result.converged
 
 
-class TestUnknownCurvature:
-    def test_hvp_from_state(self):
-        spec = LogisticRegression(input_dim=2)
-        _, theta, x, y = _instance(6, spec)
-        state = models.build_state(spec, theta, x, y)
-        with pytest.raises(ConfigError, match="fisher"):
-            models.hvp_from_state(spec, theta, state, theta,
-                                  curvature="fisher")
-
-    def test_operator(self):
-        spec = LogisticRegression(input_dim=2)
-        _, theta, x, y = _instance(6, spec)
-        with pytest.raises(ConfigError, match="curvature"):
-            solvers.DampedHessianOperator(spec, theta, x, y, 0.1,
-                                          curvature="fisher")
-
-    def test_request(self):
-        with pytest.raises(ConfigError, match="curvature"):
-            influence.InfluenceRequest(
-                reversal_indices=np.array([], dtype=np.int64),
-                curvature="fisher")
-
-    def test_config_json(self):
-        raw = {"data": "clicks.csv", "t": 8 * DAY, "t_prime": 11 * DAY,
-               "d_test": DAY, "model": {"input_dim": 4},
-               "curvature": "fisher"}
-        with pytest.raises(ConfigError, match="unknown curvature 'fisher'"):
-            harness.ExperimentConfig.from_json_dict(raw)
-
-    def test_update_flag_is_one(self, capsys):
-        code = cli.main([
-            "update", "--checkpoint", "c", "--data", "d", "--t", "1",
-            "--t-prime", "2", "--out", "o", "--curvature", "fisher"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--curvature: invalid choice: 'fisher'" in err
-        assert "Traceback" not in err
-
-    def test_update_flag_choices_are_the_registry(self, capsys):
-        assert cli.main(["update", "--help"]) == 0
-        choices = "--curvature {" + ",".join(models.CURVATURES) + "}"
-        assert choices in capsys.readouterr().out
-
-
-def test_cli_update_with_the_exact_hessian(tmp_path, capsys):
-    """``dfcvr update --curvature hessian`` writes the library's exact-
-    Hessian update, byte for byte, and it differs from the default G."""
-    log = data.generate_synthetic(data.SyntheticConfig(
-        n=1500, feature_dim=4, target_cvr=0.2227, delay_mean_tau=2 * DAY,
-        horizon=12 * DAY, drift_angle_per_day=0.1, seed=0))
-    csv_path = str(tmp_path / "clicks.csv")
-    data.save_csv(log, csv_path)
-    spec = Mlp(input_dim=4, hidden_dims=(5,), l2_coeff=1e-2)
-    theta = models.init_params(spec, seed=0)
-    ckpt = str(tmp_path / "model.ckpt")
-    models.save_checkpoint(ckpt, spec, theta)
-
-    t, t_prime = 8 * DAY, 11 * DAY
-    core = log.subset(np.flatnonzero(log.click_ts < t))
-    base = dict(reversal_indices=data.reversal_set(core, t, t_prime),
-                solver="cg", damping=1.0)
-    updates = {}
-    for curvature in models.CURVATURES:
-        out = str(tmp_path / f"{curvature}.ckpt")
-        code = cli.main([
-            "update", "--checkpoint", ckpt, "--data", csv_path,
-            "--t", str(t), "--t-prime", str(t_prime), "--solver", "cg",
-            "--damping", "1.0", "--curvature", curvature, "--out", out])
-        assert code == 0
-        updates[curvature] = models.load_checkpoint(out)[1]
-        report = influence.delta_total(
-            spec, theta, core, data.Observed(t),
-            influence.InfluenceRequest(**base, curvature=curvature))
-        expected = influence.apply_update(theta, report)
-        assert updates[curvature].tobytes() == expected.tobytes()
-    capsys.readouterr()
-    assert not np.array_equal(updates["hessian"], updates["ggn"])
+def test_unknown_curvature_is_a_config_error():
+    spec = LogisticRegression(input_dim=2)
+    _, theta, x, y = _instance(6, spec)
+    state = models.build_state(spec, theta, x, y)
+    with pytest.raises(ConfigError, match="unknown curvature 'fisher'"):
+        models.hvp_from_state(spec, theta, state, theta, curvature="fisher")

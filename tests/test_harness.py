@@ -162,8 +162,8 @@ _GOLDEN_CONFIGS = (
         '{"tol_rel_residual": 0.0001, "max_iters": 1000, "max_epochs": 5, '
         '"minibatch_size": 512, "learning_rate": 0.01, '
         '"neumann_terms": 500, "neumann_scale": 0.5, "seed": 0}, '
-        '"damping": 0.001, "curvature": "ggn", '
-        '"timing_sizes": [25000, 50000, 100000], "output_dir": "results"}',
+        '"damping": 0.001, "timing_sizes": [25000, 50000, 100000], '
+        '"output_dir": "results"}',
     ),
     (
         dict(data="clicks.csv", model=models.LogisticRegression(input_dim=4)),
@@ -174,8 +174,7 @@ _GOLDEN_CONFIGS = (
         '"early_stop_patience": 5, "seed": 0, "l2_coeff": null}, '
         '"methods": ["vanilla", "retrain", "ifdfm"], "seeds": [0], '
         '"solver": "sq", "solver_config": null, "damping": 0.001, '
-        '"curvature": "ggn", "timing_sizes": [25000, 50000, 100000], '
-        '"output_dir": null}',
+        '"timing_sizes": [25000, 50000, 100000], "output_dir": null}',
     ),
 )
 
