@@ -13,16 +13,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import influence, metrics, models, solvers
+from . import influence, models, solvers
 from .data import (
     Dataset,
     Observed,
-    Oracle,
     SyntheticConfig,
     arrival_set,
     baseline_view,
     generate_synthetic,
-    labels_of,
     load_csv,
     reversal_set,
     save_csv,
@@ -33,6 +31,7 @@ from .harness import (
     MODEL_DEFAULTS,
     ExperimentConfig,
     compare_solvers,
+    evaluate_test_window,
     run_offline,
     run_online,
     run_timing,
@@ -45,11 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error(message))
-
-    def exit_code_on_error(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _build_parser() -> _Parser:
@@ -284,14 +280,10 @@ def _cmd_update(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     spec, params, dataset = _load_model_and_data(args)
     clicks = dataset.click_ts
-    idx = np.flatnonzero(
+    test = dataset.subset(np.flatnonzero(
         (clicks >= args.t_prime) & (clicks < args.t_prime + args.d_test)
-    )
-    if idx.size == 0:
-        raise ConfigError("test window is empty")
-    test = dataset.subset(idx)
-    scores = models.predict(spec, params, test.features)
-    mm = metrics.compute_method_metrics(scores, labels_of(test, Oracle()))
+    ))
+    mm = evaluate_test_window(spec, params, test, args.t_prime, args.d_test)
     _emit(mm.to_dict(), args.report)
     return 0
 
@@ -323,11 +315,6 @@ def _load_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _print_protocol_summary(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True,
-                     default=lambda o: float(o)))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -350,18 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in commands:
             return commands[args.command](args)
         config = _load_experiment_config(args)
-        report = protocols[args.command](config)
-        _print_protocol_summary(report)
+        _emit(protocols[args.command](config), None)
         return 0
-    except (ConfigError, DataFormatError) as exc:
-        _print_error(exc)
-        return 1
-    except NumericalError as exc:
-        _print_error(exc)
-        return 2
     except DfcvrError as exc:
         _print_error(exc)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def _print_error(exc: DfcvrError) -> None:

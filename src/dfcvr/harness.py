@@ -28,6 +28,7 @@ import numpy as np
 from . import influence, metrics, models, solvers
 from .data import (
     Dataset,
+    LabelView,
     Observed,
     Oracle,
     Retrain,
@@ -217,10 +218,19 @@ def _stage(name: str):
         raise
 
 
-def _load_data(config: ExperimentConfig) -> Dataset:
-    if isinstance(config.data, SyntheticConfig):
-        return generate_synthetic(config.data)
-    return load_csv(config.data)
+def _load_splits(
+    config: ExperimentConfig, source: SyntheticConfig | str | None = None
+) -> tuple[Dataset, WindowSplit]:
+    """The log read from ``source`` (default ``config.data``), and its
+    windows."""
+    source = config.data if source is None else source
+    with _stage("data"):
+        if isinstance(source, SyntheticConfig):
+            dataset = generate_synthetic(source)
+        else:
+            dataset = load_csv(source)
+        return dataset, window_split(dataset, config.t, config.t_prime,
+                                     config.d_test)
 
 
 def _effective_spec(config: ExperimentConfig) -> models.ModelSpec:
@@ -229,19 +239,22 @@ def _effective_spec(config: ExperimentConfig) -> models.ModelSpec:
     return replace(config.model, l2_coeff=config.train.l2_coeff)
 
 
-def _train_baseline(
-    config: ExperimentConfig,
-    splits: WindowSplit,
-    method: str,
-    seed: int,
-) -> tuple[np.ndarray, float]:
+def _train(config: ExperimentConfig, name: str, seed: int, dataset: Dataset,
+           view: LabelView, valid: Dataset, timings: dict) -> np.ndarray:
+    """Train ``name`` in stage ``train <name>``, timed as ``train_<name>_s``."""
+    with _stage(f"train {name}"):
+        train_cfg = replace(config.train, seed=seed)
+        start = time.perf_counter()
+        params = train(dataset, view, config.model, train_cfg, valid)
+        timings[f"train_{name}_s"] = time.perf_counter() - start
+    return params
+
+
+def _train_baseline(config: ExperimentConfig, splits: WindowSplit,
+                    method: str, seed: int, timings: dict) -> np.ndarray:
     view = baseline_view(method, config.t, config.t_prime)
-    train_cfg = replace(config.train, seed=seed)
-    start = time.perf_counter()
-    params = train(
-        splits.core, view, config.model, train_cfg, splits.fit_valid
-    )
-    return params, time.perf_counter() - start
+    return _train(config, method, seed, splits.core, view, splits.fit_valid,
+                  timings)
 
 
 def _influence_update(
@@ -250,32 +263,86 @@ def _influence_update(
     dataset: Dataset,
     theta: np.ndarray,
     include_add: bool,
-) -> tuple[np.ndarray, influence.UpdateReport]:
-    spec = _effective_spec(config)
-    arrivals = None
-    if include_add:
-        arrivals = arrival_set(dataset, config.t, config.t_prime)
-    request = influence.InfluenceRequest(
-        reversal_indices=reversal_set(splits.core, config.t, config.t_prime),
-        arrivals=arrivals,
-        include_delay=True,
-        include_add=include_add,
-        solver=config.solver,
-        solver_config=config.solver_config,
-        damping=config.damping,
-    )
-    report = influence.delta_total(
-        spec, theta, splits.core, Observed(config.t), request
-    )
-    return influence.apply_update(theta, report), report
+    timings: dict,
+    method: str | None = None,
+) -> np.ndarray:
+    """``theta`` corrected in stage ``influence update[ <method>]``.
+
+    ``update[_<method>]_s`` in ``timings`` is the wall time of
+    :func:`influence.delta_total` (RHS, operator build and solve), and
+    ``update[_<method>]_residual_rel`` the residual it reached.
+    """
+    stage, key = "influence update", "update"
+    if method is not None:
+        stage, key = f"{stage} {method}", f"{key}_{method}"
+    with _stage(stage):
+        arrivals = None
+        if include_add:
+            arrivals = arrival_set(dataset, config.t, config.t_prime)
+        request = influence.InfluenceRequest(
+            reversal_indices=reversal_set(splits.core, config.t,
+                                          config.t_prime),
+            arrivals=arrivals,
+            include_delay=True,
+            include_add=include_add,
+            solver=config.solver,
+            solver_config=config.solver_config,
+            damping=config.damping,
+        )
+        report = influence.delta_total(
+            _effective_spec(config), theta, splits.core, Observed(config.t),
+            request,
+        )
+        timings[f"{key}_s"] = report.wall_time
+        timings[f"{key}_residual_rel"] = report.residual_rel
+        return influence.apply_update(theta, report)
 
 
-def _evaluate(
-    config: ExperimentConfig, params: np.ndarray, test: Dataset
+def evaluate_test_window(
+    spec: models.ModelSpec,
+    params: np.ndarray,
+    test: Dataset,
+    t_prime: int,
+    d_test: int,
 ) -> metrics.MethodMetrics:
-    spec = _effective_spec(config)
+    """Metrics of ``params`` on ``test``, the clicks of ``[t_prime, t_prime
+    + d_test)``, against their eventual labels.
+
+    Raises :class:`ConfigError` when the window lacks converted or
+    unconverted clicks, since AUC is undefined there.
+    """
     scores = models.predict(spec, params, test.features)
-    return metrics.compute_method_metrics(scores, labels_of(test, Oracle()))
+    labels = labels_of(test, Oracle())
+    converted = int(labels.sum())
+    if not 0 < converted < labels.size:
+        raise ConfigError(
+            f"test window [{t_prime}, {t_prime + d_test}) has {labels.size} "
+            f"clicks, {converted} of them converted; scoring needs both "
+            "converted and unconverted clicks"
+        )
+    return metrics.compute_method_metrics(scores, labels)
+
+
+def _seed_block(config: ExperimentConfig, seed: int, params: dict,
+                test: Dataset, timings: dict, scored: tuple[str, ...],
+                **ri_refs: str) -> dict:
+    """One seed's report block: a checkpoint of every entry of ``params``,
+    and the metrics and RI (against ``ri_refs``) of those in ``scored``."""
+    spec = _effective_spec(config)
+    method_metrics = {}
+    for name, theta in params.items():
+        _save_checkpoint(config, name, seed, theta)
+        if name in scored:
+            with _stage("evaluate"):
+                method_metrics[name] = evaluate_test_window(
+                    spec, theta, test, config.t_prime, config.d_test
+                )
+    return {
+        "seed": seed,
+        "methods": {k: v.to_dict() for k, v in method_metrics.items()},
+        "ri": metrics.ri_block(method_metrics, **ri_refs),
+        "timings": timings,
+    }
 
 
 def _aggregate(per_seed: list[dict]) -> dict:
@@ -298,54 +365,58 @@ def _aggregate(per_seed: list[dict]) -> dict:
     return {"mean": mean, "variance": variance}
 
 
-def _json_default(obj: Any):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+_METRICS = ("auc", "prauc", "log_loss")
 
 
-def _write_report(config: ExperimentConfig, report: dict) -> None:
-    if config.output_dir is None:
-        return
-    os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, f"{report['protocol']}_report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True,
-                  default=_json_default)
-        fh.write("\n")
+def _finish_seeds(config: ExperimentConfig, protocol: str,
+                  per_seed: list[dict]) -> dict:
+    """:func:`_finish` with the seed blocks and their aggregate; the CSV
+    has a row per seed and method, then the mean rows."""
+    aggregate = _aggregate(per_seed)
+    blocks = [(str(s["seed"]), s) for s in per_seed]
+    blocks.append(("mean", aggregate["mean"]))
+    rows = []
+    for label, block in blocks:
+        for method, values in block["methods"].items():
+            ri = block["ri"].get(method, {})
+            rows.append({
+                "protocol": protocol, "seed": label, "method": method,
+                **values,
+                **{f"ri_{k}": "" if ri.get(k) is None else ri[k]
+                   for k in _METRICS},
+            })
+    fields = ["protocol", "seed", "method", *_METRICS,
+              *(f"ri_{k}" for k in _METRICS)]
+    return _finish(config, protocol,
+                   {"per_seed": per_seed, "aggregate": aggregate},
+                   f"{protocol}_metrics.csv", fields, rows)
 
 
-def _write_metrics_csv(config: ExperimentConfig, report: dict) -> None:
-    if config.output_dir is None or "per_seed" not in report:
-        return
-    path = os.path.join(config.output_dir,
-                        f"{report['protocol']}_metrics.csv")
-    fields = ["protocol", "seed", "method", "auc", "prauc", "log_loss",
-              "ri_auc", "ri_prauc", "ri_log_loss"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        rows = [(str(s["seed"]), s) for s in report["per_seed"]]
-        rows.append(("mean", report["aggregate"]["mean"]))
-        for seed_label, block in rows:
-            for method, vals in block["methods"].items():
-                row = {
-                    "protocol": report["protocol"],
-                    "seed": seed_label,
-                    "method": method,
-                    **{k: vals[k] for k in ("auc", "prauc", "log_loss")},
-                }
-                ri_vals = block["ri"].get(method, {})
-                for k in ("auc", "prauc", "log_loss"):
-                    v = ri_vals.get(k)
-                    row[f"ri_{k}"] = "" if v is None else v
-                writer.writerow(row)
+def _finish(config: ExperimentConfig, protocol: str, body: dict,
+            csv_name: str, csv_fields: list[str], rows: list[dict]) -> dict:
+    """The versioned ``protocol`` report around ``body``.
+
+    With an ``output_dir``, the report is also written there as
+    ``<protocol>_report.json``, and ``rows`` as the table ``csv_name``.
+    """
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "protocol": protocol,
+        "config": config.to_json_dict(),
+        **body,
+    }
+    if config.output_dir is not None:
+        os.makedirs(config.output_dir, exist_ok=True)
+        path = os.path.join(config.output_dir, f"{protocol}_report.json")
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        path = os.path.join(config.output_dir, csv_name)
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=csv_fields)
+            writer.writeheader()
+            writer.writerows(rows)
+    return report
 
 
 def _save_checkpoint(
@@ -369,72 +440,29 @@ def run_offline(config: ExperimentConfig) -> dict:
     label reversal only. Everything is scored on the test day with true
     labels, with RI computed against the vanilla/retrain gap.
     """
-    with _stage("data"):
-        dataset = _load_data(config)
-        splits = window_split(dataset, config.t, config.t_prime,
-                              config.d_test)
-    methods = list(config.methods)
-    need_vanilla = bool(
-        {"vanilla", "ifdfm", "ifdfm_wo_add"} & set(methods)
-    )
+    dataset, splits = _load_splits(config)
+    updates = [m for m in ("ifdfm", "ifdfm_wo_add") if m in config.methods]
+    need_vanilla = bool(updates) or "vanilla" in config.methods
     per_seed = []
     for seed in config.seeds:
-        method_metrics: dict[str, metrics.MethodMetrics] = {}
-        timings: dict[str, float] = {}
-        vanilla_params = None
+        timings: dict[str, Any] = {}
+        params = {}
         if need_vanilla:
-            with _stage("train vanilla"):
-                vanilla_params, wall = _train_baseline(
-                    config, splits, "vanilla", seed
-                )
-            timings["train_vanilla_s"] = wall
-            _save_checkpoint(config, "vanilla", seed, vanilla_params)
+            vanilla = _train_baseline(config, splits, "vanilla", seed, timings)
         for method in ("retrain", "oracle"):
-            if method in methods:
-                with _stage(f"train {method}"):
-                    params, wall = _train_baseline(
-                        config, splits, method, seed
-                    )
-                timings[f"train_{method}_s"] = wall
-                _save_checkpoint(config, method, seed, params)
-                method_metrics[method] = _evaluate(config, params, splits.test)
-        if "vanilla" in methods:
-            method_metrics["vanilla"] = _evaluate(
-                config, vanilla_params, splits.test
-            )
-        # Offline influence has no arrivals, so both variants coincide.
-        updated = None
-        for method in ("ifdfm", "ifdfm_wo_add"):
-            if method not in methods:
-                continue
-            if updated is None:
-                with _stage("influence update"):
-                    updated, report = _influence_update(
-                        config, splits, dataset, vanilla_params,
-                        include_add=False,
-                    )
-                timings["update_s"] = report.wall_time
-                timings["update_residual_rel"] = report.residual_rel
-            _save_checkpoint(config, method, seed, updated)
-            method_metrics[method] = _evaluate(config, updated, splits.test)
-        with _stage("evaluate"):
-            ri = metrics.ri_block(method_metrics)
-        per_seed.append({
-            "seed": seed,
-            "methods": {k: v.to_dict() for k, v in method_metrics.items()},
-            "ri": ri,
-            "timings": timings,
-        })
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": "offline",
-        "config": config.to_json_dict(),
-        "per_seed": per_seed,
-        "aggregate": _aggregate(per_seed),
-    }
-    _write_report(config, report)
-    _write_metrics_csv(config, report)
-    return report
+            if method in config.methods:
+                params[method] = _train_baseline(config, splits, method,
+                                                 seed, timings)
+        if need_vanilla:
+            params["vanilla"] = vanilla
+        if updates:
+            # Offline influence has no arrivals, so both variants coincide.
+            updated = _influence_update(config, splits, dataset, vanilla,
+                                        False, timings)
+            params.update(dict.fromkeys(updates, updated))
+        per_seed.append(_seed_block(config, seed, params, splits.test,
+                                    timings, config.methods))
+    return _finish_seeds(config, "offline", per_seed)
 
 
 def run_online(config: ExperimentConfig) -> dict:
@@ -444,70 +472,27 @@ def run_online(config: ExperimentConfig) -> dict:
     new-arrival integration, and a full retrain on all data before the
     evaluation time. RI is computed against the pretrain/retrain gap.
     """
-    with _stage("data"):
-        dataset = _load_data(config)
-        splits = window_split(dataset, config.t, config.t_prime,
-                              config.d_test)
+    dataset, splits = _load_splits(config)
     per_seed = []
     for seed in config.seeds:
-        method_metrics: dict[str, metrics.MethodMetrics] = {}
-        timings: dict[str, float] = {}
-        with _stage("train pretrain"):
-            pretrain_params, wall = _train_baseline(
-                config, splits, "vanilla", seed
-            )
-        timings["train_pretrain_s"] = wall
-        _save_checkpoint(config, "pretrain", seed, pretrain_params)
-        method_metrics["pretrain"] = _evaluate(
-            config, pretrain_params, splits.test
-        )
+        timings: dict[str, Any] = {}
+        pretrain = _train(config, "pretrain", seed, splits.core,
+                          Observed(config.t), splits.fit_valid, timings)
+        params = {"pretrain": pretrain}
         for method, include_add in (("ifdfm", True), ("ifdfm_wo_add", False)):
-            with _stage(f"influence update {method}"):
-                updated, report = _influence_update(
-                    config, splits, dataset, pretrain_params,
-                    include_add=include_add,
-                )
-            timings[f"update_{method}_s"] = report.wall_time
-            _save_checkpoint(config, method, seed, updated)
-            method_metrics[method] = _evaluate(config, updated, splits.test)
-        with _stage("train retrain_online"):
-            online_idx = np.flatnonzero(dataset.click_ts < config.t_prime)
-            online_data = dataset.subset(online_idx)
-            train_cfg = replace(config.train, seed=seed)
-            start = time.perf_counter()
-            retrain_params = train(
-                online_data,
-                Retrain(config.t_prime),
-                config.model,
-                train_cfg,
-                splits.valid,
+            params[method] = _influence_update(
+                config, splits, dataset, pretrain, include_add, timings, method
             )
-            timings["train_retrain_online_s"] = time.perf_counter() - start
-        _save_checkpoint(config, "retrain_online", seed, retrain_params)
-        method_metrics["retrain_online"] = _evaluate(
-            config, retrain_params, splits.test
+        online = np.flatnonzero(dataset.click_ts < config.t_prime)
+        params["retrain_online"] = _train(
+            config, "retrain_online", seed, dataset.subset(online),
+            Retrain(config.t_prime), splits.valid, timings,
         )
-        ri = metrics.ri_block(
-            method_metrics,
-            vanilla_key="pretrain",
-            retrain_key="retrain_online",
-        )
-        per_seed.append({
-            "seed": seed,
-            "methods": {k: v.to_dict() for k, v in method_metrics.items()},
-            "ri": ri,
-            "timings": timings,
-        })
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": "online",
-        "config": config.to_json_dict(),
-        "per_seed": per_seed,
-        "aggregate": _aggregate(per_seed),
-    }
-    _write_report(config, report)
-    _write_metrics_csv(config, report)
-    return report
+        per_seed.append(_seed_block(
+            config, seed, params, splits.test, timings, ONLINE_METHODS,
+            vanilla_key="pretrain", retrain_key="retrain_online",
+        ))
+    return _finish_seeds(config, "online", per_seed)
 
 
 def run_timing(config: ExperimentConfig) -> dict:
@@ -523,47 +508,18 @@ def run_timing(config: ExperimentConfig) -> dict:
     seed = config.seeds[0]
     per_size = []
     for size in config.timing_sizes:
-        sized = replace(config.data, n=size)
-        with _stage("data"):
-            dataset = generate_synthetic(sized)
-            splits = window_split(dataset, config.t, config.t_prime,
-                                  config.d_test)
-        with _stage("train vanilla"):
-            vanilla_params, train_s = _train_baseline(
-                config, splits, "vanilla", seed
-            )
-        with _stage("train retrain"):
-            _, retrain_s = _train_baseline(config, splits, "retrain", seed)
-        with _stage("influence update"):
-            start = time.perf_counter()
-            _, report = _influence_update(
-                config, splits, dataset, vanilla_params, include_add=False
-            )
-            update_s = time.perf_counter() - start
-        per_size.append({
-            "n": size,
-            "train_vanilla_s": train_s,
-            "train_retrain_s": retrain_s,
-            "update_s": update_s,
-            "update_over_train": update_s / train_s,
-            "update_residual_rel": report.residual_rel,
-        })
+        dataset, splits = _load_splits(config, replace(config.data, n=size))
+        row: dict[str, Any] = {"n": size}
+        vanilla = _train_baseline(config, splits, "vanilla", seed, row)
+        _train_baseline(config, splits, "retrain", seed, row)
+        _influence_update(config, splits, dataset, vanilla, False, row)
+        row["update_over_train"] = row["update_s"] / row["train_vanilla_s"]
+        per_size.append(row)
     ratios = [row["update_over_train"] for row in per_size]
-    report_dict = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": "timing",
-        "config": config.to_json_dict(),
-        "per_size": per_size,
-        "ratios": ratios,
-    }
-    _write_report(config, report_dict)
-    if config.output_dir is not None:
-        path = os.path.join(config.output_dir, "timing.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(per_size[0]))
-            writer.writeheader()
-            writer.writerows(per_size)
-    return report_dict
+    fields = ["n", "train_vanilla_s", "train_retrain_s", "update_s",
+              "update_over_train", "update_residual_rel"]
+    return _finish(config, "timing", {"per_size": per_size, "ratios": ratios},
+                   "timing.csv", fields, per_size)
 
 
 def compare_solvers(config: ExperimentConfig) -> dict:
@@ -575,13 +531,8 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     ``solver_config``. Solver failures are recorded per solver instead of
     aborting the comparison.
     """
-    seed = config.seeds[0]
-    with _stage("data"):
-        dataset = _load_data(config)
-        splits = window_split(dataset, config.t, config.t_prime,
-                              config.d_test)
-    with _stage("train vanilla"):
-        theta, _ = _train_baseline(config, splits, "vanilla", seed)
+    _, splits = _load_splits(config)
+    theta = _train_baseline(config, splits, "vanilla", config.seeds[0], {})
     spec = _effective_spec(config)
     view = Observed(config.t)
     request = influence.InfluenceRequest(
@@ -594,13 +545,12 @@ def compare_solvers(config: ExperimentConfig) -> dict:
         lam=config.damping,
     )
     summary: dict[str, Any] = {}
-    traces: dict[str, list[float]] = {}
+    rows = []
     for kind in solvers.SOLVERS:
         try:
             result = solvers.solve(kind, operator, rhs.b, config.solver_config)
         except solvers.SolverError as exc:
             summary[kind] = {"error": str(exc)}
-            traces[kind] = []
             continue
         summary[kind] = {
             "residual_rel": result.residual_rel,
@@ -609,20 +559,8 @@ def compare_solvers(config: ExperimentConfig) -> dict:
             "wall_time_s": result.wall_time,
             "delta_norm": float(np.linalg.norm(result.delta)),
         }
-        traces[kind] = result.trace
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": "compare_solvers",
-        "config": config.to_json_dict(),
-        "solvers": summary,
-    }
-    _write_report(config, report)
-    if config.output_dir is not None:
-        path = os.path.join(config.output_dir, "solver_traces.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["solver", "step", "rel_residual"])
-            for kind, trace in traces.items():
-                for step, rel in enumerate(trace, start=1):
-                    writer.writerow([kind, step, rel])
-    return report
+        rows += [{"solver": kind, "step": step, "rel_residual": rel}
+                 for step, rel in enumerate(result.trace, start=1)]
+    return _finish(config, "compare_solvers", {"solvers": summary},
+                   "solver_traces.csv", ["solver", "step", "rel_residual"],
+                   rows)

@@ -1,6 +1,7 @@
 """Experiment-protocol and CLI tests on a small convex fixture."""
 
 import copy
+import csv
 import json
 import os
 
@@ -291,6 +292,8 @@ class TestOnline:
         timings = seed_block["timings"]
         assert "update_ifdfm_s" in timings
         assert "train_retrain_online_s" in timings
+        for method in ("ifdfm", "ifdfm_wo_add"):
+            assert timings[f"update_{method}_residual_rel"] >= 0.0
 
     def test_update_variants_differ_when_arrivals_exist(self):
         report = harness.run_online(_tiny_config())
@@ -298,6 +301,34 @@ class TestOnline:
         assert seed_block["methods"]["ifdfm"] != (
             seed_block["methods"]["ifdfm_wo_add"]
         )
+
+
+@pytest.mark.parametrize("protocol", ["offline", "online"])
+def test_metrics_csv_rows_match_the_report(tmp_path, protocol):
+    config = _tiny_config(output_dir=str(tmp_path), seeds=(0, 1))
+    report = getattr(harness, f"run_{protocol}")(config)
+    with open(tmp_path / f"{protocol}_metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    blocks = [(str(s["seed"]), s) for s in report["per_seed"]]
+    blocks.append(("mean", report["aggregate"]["mean"]))
+    expected = [(label, method, block) for label, block in blocks
+                for method in block["methods"]]
+    assert [(r["seed"], r["method"]) for r in rows] == [
+        (label, method) for label, method, _ in expected
+    ]
+    blank_ri = 0
+    for row, (_, method, block) in zip(rows, expected):
+        assert row["protocol"] == protocol
+        for k in ("auc", "prauc", "log_loss"):
+            assert float(row[k]) == block["methods"][method][k]
+            ri = block["ri"].get(method, {}).get(k)
+            if ri is None:
+                assert row[f"ri_{k}"] == ""
+                blank_ri += 1
+            else:
+                assert float(row[f"ri_{k}"]) == ri
+    # The two reference methods have no RI, in every seed and the mean.
+    assert blank_ri >= 2 * 3 * len(blocks)
 
 
 class TestTiming:
@@ -458,6 +489,10 @@ def _bad_input_argv(case, tmp_path):
     big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
     latin_csv = tmp_path / "latin.csv"
     latin_csv.write_bytes(b"click_ts,pay_ts,f0\n5,-1,0.25\xff\n")
+    # 200 clicks, none converted: AUC is undefined on any window.
+    one_class_csv = tmp_path / "one_class.csv"
+    one_class_csv.write_text("click_ts,pay_ts,f0,f1,f2,f3\n" + "".join(
+        f"{5 * i},-1,0.5,0.25,-0.5,1.0\n" for i in range(200)))
     config = str(tmp_path / "config.json")
     with open(config, "w") as fh:
         json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
@@ -503,6 +538,9 @@ def _bad_input_argv(case, tmp_path):
             *train, "--model", "logreg", "--l2-coeff=-5"],
         "train_mlp_without_widths": [
             *train, "--model", "mlp", "--hidden-dims", ""],
+        "evaluate_one_class_window": [
+            "evaluate", "--checkpoint", ckpt, "--data", str(one_class_csv),
+            "--t-prime", "600", "--d-test", "300"],
     }[case]
 
 
@@ -517,6 +555,7 @@ class TestCliExitCodes:
         "train_zero_width", "offline_zero_width_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
         "train_mlp_without_widths", "train_csv_not_utf8",
+        "evaluate_one_class_window",
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
