@@ -33,7 +33,6 @@ from .harness import (
 )
 from .influence import (
     InfluenceRequest,
-    UpdateReport,
     apply_update,
     build_rhs,
     delta_total,
@@ -53,10 +52,6 @@ from .solvers import (
     SolverConfig,
     SolverError,
     SolverNotConvergedError,
-    cg_solve,
-    neumann_solve,
-    power_iteration,
-    sq_solve,
 )
 from .training import TrainConfig, TrainingDivergedError, train
 
@@ -86,12 +81,10 @@ __all__ = [
     "SyntheticConfig",
     "TrainConfig",
     "TrainingDivergedError",
-    "UpdateReport",
     "apply_update",
     "arrival_set",
     "auc",
     "build_rhs",
-    "cg_solve",
     "compare_solvers",
     "delta_total",
     "generate_synthetic",
@@ -99,8 +92,6 @@ __all__ = [
     "load_checkpoint",
     "load_csv",
     "log_loss",
-    "neumann_solve",
-    "power_iteration",
     "prauc",
     "predict",
     "reversal_set",
@@ -110,7 +101,6 @@ __all__ = [
     "run_timing",
     "save_checkpoint",
     "save_csv",
-    "sq_solve",
     "temporal_split",
     "train",
     "window_split",

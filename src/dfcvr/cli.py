@@ -273,7 +273,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
                                    request)
     updated = influence.apply_update(params, report)
     models.save_checkpoint(args.out, spec, updated)
-    _emit(report.to_json_dict(), args.report)
+    _emit({
+        "delta_norm": float(np.linalg.norm(report.delta)),
+        "residual_rel": report.residual_rel,
+        "solver_iterations": report.iterations,
+        "wall_time_s": report.wall_time,
+    }, args.report)
     return 0
 
 

@@ -99,6 +99,8 @@ class ExperimentConfig:
                 )
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be non-negative")
         if self.solver not in solvers.SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.damping < 0:

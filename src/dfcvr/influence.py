@@ -57,28 +57,9 @@ class InfluenceRequest:
 
 @dataclass
 class InfluenceRhs:
-    """Right-hand side ``b`` and the training-set size it was scaled by."""
+    """Right-hand side ``b`` of the update system."""
 
     b: np.ndarray
-    n: int
-
-
-@dataclass
-class UpdateReport:
-    """Solved update plus solver diagnostics."""
-
-    delta: np.ndarray
-    residual_rel: float | None
-    solver_iterations: int
-    wall_time: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_norm": float(np.linalg.norm(self.delta)),
-            "residual_rel": self.residual_rel,
-            "solver_iterations": self.solver_iterations,
-            "wall_time_s": self.wall_time,
-        }
 
 
 def build_rhs(
@@ -98,16 +79,16 @@ def build_rhs(
     """
     n = len(dataset)
     if n == 0:
-        raise ValueError("training dataset is empty")
+        raise ConfigError("training dataset is empty")
     b = np.zeros(models.num_params(spec))
 
     if request.include_delay and request.reversal_indices.size:
         idx = np.asarray(request.reversal_indices, dtype=np.int64)
         if idx.min() < 0 or idx.max() >= n:
-            raise ValueError("reversal indices out of range")
+            raise ConfigError("reversal indices out of range")
         labels = labels_of(dataset, view)
         if np.any(labels[idx] != 0.0):
-            raise ValueError(
+            raise ConfigError(
                 "reversal indices must be labeled 0 under the training view"
             )
         x_rev = dataset.features[idx]
@@ -120,14 +101,14 @@ def build_rhs(
         arrived, arrived_labels = request.arrivals
         if len(arrived):
             if arrived.feature_dim != dataset.feature_dim:
-                raise ValueError("arrival feature dim does not match")
+                raise ConfigError("arrival feature dim does not match")
             b -= models.bce_grad_sum(
                 spec, theta, arrived.features, arrived_labels
             ) / n
 
     if not np.all(np.isfinite(b)):
         raise NumericalError("right-hand side contains non-finite values")
-    return InfluenceRhs(b=b, n=n)
+    return InfluenceRhs(b=b)
 
 
 def delta_total(
@@ -136,35 +117,33 @@ def delta_total(
     dataset: Dataset,
     view: LabelView,
     request: InfluenceRequest,
-) -> UpdateReport:
+) -> solvers.SolveResult:
     """Solve for the combined parameter update.
 
     The damped curvature is taken over the training dataset at ``theta``.
-    A zero right-hand side (nothing to correct) short-circuits to a zero
-    update. Raises :class:`solvers.SolverNotConvergedError`, carrying the
-    best iterate, when the configured solver cannot reach its tolerance.
+    Returns the solver's result with ``wall_time`` covering the whole
+    update: the right-hand side, the operator build and the solve. A zero
+    right-hand side (nothing to correct) short-circuits to a zero update
+    without building the operator. Raises
+    :class:`solvers.SolverNotConvergedError`, carrying the best iterate,
+    when the configured solver cannot reach its tolerance.
     """
     start = time.perf_counter()
     config = (request.solver_config
               or solvers.default_solver_config(request.solver))
     rhs = build_rhs(spec, theta, dataset, view, request)
     if float(np.linalg.norm(rhs.b)) == 0.0:
-        return UpdateReport(
-            delta=np.zeros_like(rhs.b),
-            residual_rel=None,
-            solver_iterations=0,
-            wall_time=time.perf_counter() - start,
+        result = solvers.SolveResult(np.zeros_like(rhs.b), None, 0, True)
+    else:
+        operator = solvers.DampedHessianOperator(
+            spec,
+            theta,
+            dataset.features,
+            labels_of(dataset, view),
+            lam=request.damping,
+            hvp_batch_size=request.hvp_batch_size,
         )
-
-    operator = solvers.DampedHessianOperator(
-        spec,
-        theta,
-        dataset.features,
-        labels_of(dataset, view),
-        lam=request.damping,
-        hvp_batch_size=request.hvp_batch_size,
-    )
-    result = solvers.solve(request.solver, operator, rhs.b, config)
+        result = solvers.solve(request.solver, operator, rhs.b, config)
     if not result.converged:
         raise solvers.SolverNotConvergedError(
             f"{request.solver} stopped at relative residual "
@@ -174,18 +153,14 @@ def delta_total(
             delta=result.delta,
             residual_rel=result.residual_rel,
         )
-    return UpdateReport(
-        delta=result.delta,
-        residual_rel=result.residual_rel,
-        solver_iterations=result.iterations,
-        wall_time=time.perf_counter() - start,
-    )
+    result.wall_time = time.perf_counter() - start
+    return result
 
 
-def apply_update(theta: np.ndarray, report: UpdateReport) -> np.ndarray:
+def apply_update(theta: np.ndarray, report: solvers.SolveResult) -> np.ndarray:
     """Return ``theta + delta`` after shape and finiteness checks."""
     if report.delta.shape != theta.shape:
-        raise ValueError("update shape does not match the parameters")
+        raise ConfigError("update shape does not match the parameters")
     updated = theta + report.delta
     if not np.all(np.isfinite(updated)):
         raise NumericalError("updated parameters contain non-finite values")

@@ -10,6 +10,7 @@ to large sample counts.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -164,58 +165,86 @@ class DampedHessianOperator:
         return part + self.lam * v
 
 
-def cg_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
+class _Breakdown(Exception):
+    """A solver step cannot continue; the loop raises it as a SolverError."""
+
+
+def _solve_loop(diverged: str):
+    """Make a solver from a generator of its steps.
+
+    The generator yields ``(delta, norm(b - A delta))`` once per CG
+    iteration, series term or epoch, and may change ``delta`` in place
+    afterwards. The loop keeps what every solver shares: the clock, the
+    ``b = 0`` result, the residual trace, the best iterate (``delta = 0``
+    with residual 1 until a step beats it), the stop once the best
+    residual reaches the tolerance, and the verdict. The first non-finite
+    residual raises :class:`SolverError` with ``diverged``, formatted with
+    the step number; a step that raises :class:`_Breakdown` gets a
+    :class:`SolverError` with its message. Both carry the best iterate.
+    """
+
+    def decorate(steps):
+        @functools.wraps(steps)
+        def run(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
+            start = time.perf_counter()
+            b_norm = float(np.linalg.norm(b))
+            best_delta, best_rel, trace = np.zeros_like(b), 1.0, []
+            if b_norm == 0.0:
+                return SolveResult(best_delta, None, 0, True,
+                                   wall_time=time.perf_counter() - start)
+            try:
+                for delta, residual in steps(operator, b, config):
+                    rel = residual / b_norm
+                    if not np.isfinite(rel):
+                        raise _Breakdown(diverged.format(len(trace) + 1))
+                    trace.append(rel)
+                    if rel < best_rel:
+                        best_delta, best_rel = delta.copy(), rel
+                    if best_rel <= config.tol_rel_residual:
+                        break
+            except _Breakdown as exc:
+                raise SolverError(str(exc), best_delta, best_rel) from None
+            return SolveResult(
+                best_delta,
+                best_rel,
+                len(trace),
+                best_rel <= config.tol_rel_residual,
+                trace,
+                time.perf_counter() - start,
+            )
+
+        return run
+
+    return decorate
+
+
+@_solve_loop("conjugate gradients diverged at iteration {}: the operator "
+             "returned non-finite products")
+def cg_solve(operator, b: np.ndarray, config: SolverConfig):
     """Conjugate gradients; returns the best iterate by relative residual.
 
     Raises :class:`SolverError` when the operator reveals a non-positive
     curvature direction, which means the damping is too small.
     """
-    start = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveResult(np.zeros_like(b), None, 0, True,
-                           wall_time=time.perf_counter() - start)
     delta = np.zeros_like(b)
     r = b.copy()
     d = r.copy()
     rs = float(r @ r)
-    best_rel = np.sqrt(rs) / b_norm
-    best_delta = delta.copy()
-    trace: list[float] = []
-    iters = 0
-    max_iters = min(operator.dim, config.max_iters)
-    while iters < max_iters:
+    for _ in range(min(operator.dim, config.max_iters)):
         ad = operator.matvec(d)
         dad = float(d @ ad)
         if dad <= 0.0:
-            raise SolverError(
+            raise _Breakdown(
                 "conjugate gradients hit non-positive curvature "
-                f"(d'Ad = {dad:.3e}); increase the damping",
-                delta=best_delta,
-                residual_rel=best_rel,
+                f"(d'Ad = {dad:.3e}); increase the damping"
             )
         alpha = rs / dad
         delta += alpha * d
         r -= alpha * ad
         rs_new = float(r @ r)
-        iters += 1
-        rel = np.sqrt(rs_new) / b_norm
-        trace.append(rel)
-        if rel < best_rel:
-            best_rel = rel
-            best_delta = delta.copy()
-        if rel <= config.tol_rel_residual:
-            break
+        yield delta, np.sqrt(rs_new)
         d = r + (rs_new / rs) * d
         rs = rs_new
-    return SolveResult(
-        best_delta,
-        best_rel,
-        iters,
-        best_rel <= config.tol_rel_residual,
-        trace,
-        time.perf_counter() - start,
-    )
 
 
 def power_iteration(operator, iters: int = 100, seed: int = 0) -> float:
@@ -224,7 +253,7 @@ def power_iteration(operator, iters: int = 100, seed: int = 0) -> float:
     ``iters`` normalized matrix-vector products from a random unit start.
     """
     if iters < 10:
-        raise ValueError("power iteration needs at least 10 iterations")
+        raise ConfigError("power iteration needs at least 10 iterations")
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(operator.dim)
     v /= np.linalg.norm(v)
@@ -244,7 +273,8 @@ def power_iteration(operator, iters: int = 100, seed: int = 0) -> float:
 _NEUMANN_SCALE_MARGIN = 0.9
 
 
-def neumann_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
+@_solve_loop("power series diverged at term {}; reduce neumann_scale")
+def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
     """Truncated power-series solve ``delta = s * sum_t (I - sA)^t b``.
 
     The recurrence ``w <- w - s A w`` yields both the next series term
@@ -252,11 +282,6 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
     HVP. The scale ``s`` must satisfy ``s * norm(A) < 1``; it is
     validated (or calibrated, when unset) with a spectral-norm estimate.
     """
-    start = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveResult(np.zeros_like(b), None, 0, True,
-                           wall_time=time.perf_counter() - start)
     estimate = power_iteration(operator, seed=config.seed)
     if config.neumann_scale is None:
         if estimate <= 0.0:
@@ -273,35 +298,15 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
             )
     delta = np.zeros_like(b)
     w = b.copy()
-    trace: list[float] = []
-    best_rel = np.inf
-    best_delta = delta.copy()
-    terms = 0
     for _ in range(config.neumann_terms):
         delta += scale * w
         w -= scale * operator.matvec(w)
-        terms += 1
-        rel = float(np.linalg.norm(w)) / b_norm
-        trace.append(rel)
-        if rel < best_rel:
-            best_rel = rel
-            best_delta = delta.copy()
-        if rel <= config.tol_rel_residual:
-            break
-    if not np.isfinite(best_rel):
-        raise SolverError("power series diverged", delta=None,
-                          residual_rel=None)
-    return SolveResult(
-        best_delta,
-        best_rel,
-        terms,
-        best_rel <= config.tol_rel_residual,
-        trace,
-        time.perf_counter() - start,
-    )
+        yield delta, float(np.linalg.norm(w))
 
 
-def sq_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
+@_solve_loop("stochastic quadratic solve diverged at epoch {}; "
+             "lower the learning rate")
+def sq_solve(operator, b: np.ndarray, config: SolverConfig):
     """Adam on ``F(delta) = 0.5 <delta, A delta> - <b, delta>``.
 
     Minimizing F solves ``A delta = b``, and its gradient ``A delta - b``
@@ -311,18 +316,9 @@ def sq_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
     returns the epoch-boundary iterate with the smallest relative
     residual.
     """
-    start = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveResult(np.zeros_like(b), None, 0, True,
-                           wall_time=time.perf_counter() - start)
     delta = np.zeros_like(b)
     adam = Adam(b.shape[0], config.learning_rate)
-    best_rel = 1.0  # residual at delta = 0 is exactly norm(b)
-    best_delta = delta.copy()
-    trace: list[float] = []
     n = getattr(operator, "n_samples", None)
-    epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         if n is None:
             adam.step(delta, operator.matvec(delta) - b)
@@ -331,29 +327,7 @@ def sq_solve(operator, b: np.ndarray, config: SolverConfig) -> SolveResult:
             for begin in range(0, n, config.minibatch_size):
                 rows = perm[begin : begin + config.minibatch_size]
                 adam.step(delta, operator.matvec_batch(delta, rows) - b)
-        rel = float(np.linalg.norm(operator.matvec(delta) - b)) / b_norm
-        epochs = epoch
-        if not np.isfinite(rel):
-            raise SolverError(
-                f"stochastic quadratic solve diverged at epoch {epoch}; "
-                "lower the learning rate",
-                delta=best_delta,
-                residual_rel=best_rel,
-            )
-        trace.append(rel)
-        if rel < best_rel:
-            best_rel = rel
-            best_delta = delta.copy()
-        if best_rel <= config.tol_rel_residual:
-            break
-    return SolveResult(
-        best_delta,
-        best_rel,
-        epochs,
-        best_rel <= config.tol_rel_residual,
-        trace,
-        time.perf_counter() - start,
-    )
+        yield delta, float(np.linalg.norm(operator.matvec(delta) - b))
 
 
 def solve(
@@ -368,6 +342,6 @@ def solve(
     default = default_solver_config(kind)  # rejects an unknown kind
     config = default if config is None else config
     if b.shape != (operator.dim,):
-        raise ValueError("right-hand side length does not match operator")
+        raise ConfigError("right-hand side length does not match operator")
     run = {"cg": cg_solve, "neumann": neumann_solve, "sq": sq_solve}[kind]
     return run(operator, b, config)

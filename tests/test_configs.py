@@ -63,6 +63,7 @@ _BAD = [
     ("ExperimentConfig", "methods", (), "methods"),
     ("ExperimentConfig", "methods", ("vanilla", "mystery"), "method"),
     ("ExperimentConfig", "seeds", (), "seeds"),
+    ("ExperimentConfig", "seeds", (-1,), "seeds"),
     ("ExperimentConfig", "solver", "gmres", "solver"),
     ("ExperimentConfig", "damping", -1.0, "damping"),
     ("ExperimentConfig", "timing_sizes", (0,), "timing_sizes"),

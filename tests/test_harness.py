@@ -429,6 +429,43 @@ class TestCliPipeline:
         assert set(printed) == {"auc", "prauc", "log_loss"}
         assert 0.0 <= printed["auc"] <= 1.0
 
+    def test_update_report_holds_the_solve_of_delta_total(self, tmp_path,
+                                                          capsys):
+        csv_path = _write_csv(tmp_path)
+        spec = models.LogisticRegression(input_dim=4, l2_coeff=1e-2)
+        theta = 0.1 * np.random.default_rng(0).standard_normal(5)
+        ckpt = str(tmp_path / "model.ckpt")
+        models.save_checkpoint(ckpt, spec, theta)
+        report_path = tmp_path / "update.json"
+        code = cli.main([
+            "update", "--checkpoint", ckpt, "--data", csv_path,
+            "--t", str(8 * DAY), "--t-prime", str(11 * DAY),
+            "--solver", "cg", "--damping", "1e-2", "--tol", "1e-8",
+            "--include-add", "--out", str(tmp_path / "updated.ckpt"),
+            "--report", str(report_path),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        written = json.loads(report_path.read_text())
+        assert set(written) == {"delta_norm", "residual_rel",
+                                "solver_iterations", "wall_time_s"}
+
+        log = dfcvr.load_csv(csv_path)
+        core = log.subset(np.flatnonzero(log.click_ts < 8 * DAY))
+        result = dfcvr.delta_total(
+            spec, theta, core, dfcvr.Observed(8 * DAY),
+            dfcvr.InfluenceRequest(
+                reversal_indices=dfcvr.reversal_set(core, 8 * DAY, 11 * DAY),
+                arrivals=dfcvr.arrival_set(log, 8 * DAY, 11 * DAY),
+                include_add=True, solver="cg",
+                solver_config=solvers.SolverConfig(tol_rel_residual=1e-8),
+                damping=1e-2,
+            ),
+        )
+        assert written["residual_rel"] == result.residual_rel
+        assert written["solver_iterations"] == result.iterations
+        assert written["delta_norm"] == float(np.linalg.norm(result.delta))
+
     def test_offline_protocol_via_config_file(self, tmp_path, capsys):
         config_path = str(tmp_path / "config.json")
         with open(config_path, "w") as fh:

@@ -126,13 +126,6 @@ class TestCg:
         assert result.iterations <= 8
         assert result.residual_rel <= 1e-8
 
-    def test_zero_rhs_short_circuits(self):
-        op = MatrixOperator(np.eye(3))
-        result = solvers.cg_solve(op, np.zeros(3), solvers.SolverConfig())
-        assert result.converged
-        assert result.residual_rel is None
-        np.testing.assert_array_equal(result.delta, np.zeros(3))
-
     def test_indefinite_system_raises_with_advice(self):
         op = MatrixOperator(np.diag([1.0, -1.0]))
         with pytest.raises(solvers.SolverError, match="damping") as info:
@@ -182,7 +175,7 @@ class TestPowerIteration:
             )
 
     def test_too_few_iterations_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             solvers.power_iteration(MatrixOperator(np.eye(2)), iters=3)
 
 
@@ -249,14 +242,6 @@ class TestNeumann:
 
 
 class TestSqSolve:
-    def test_zero_rhs_short_circuits(self):
-        result = solvers.sq_solve(
-            MatrixOperator(np.eye(3)), np.zeros(3),
-            solvers.SolverConfig(),
-        )
-        assert result.converged
-        np.testing.assert_array_equal(result.delta, np.zeros(3))
-
     def test_full_batch_mode_reaches_dense_solution(self):
         rng = np.random.default_rng(12)
         a = _random_spd(rng, 5, cond=5.0)
@@ -361,6 +346,36 @@ class TestSolve:
             assert result.iterations == direct.iterations
             assert result.trace == direct.trace
 
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_zero_rhs_short_circuits(self, kind):
+        result = solvers.solve(kind, MatrixOperator(np.eye(3)), np.zeros(3))
+        assert result.converged
+        assert result.residual_rel is None
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.delta, np.zeros(3))
+
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_non_finite_products_raise_with_the_zero_iterate(self, kind):
+        op = MatrixOperator(np.full((3, 3), np.nan))
+        with pytest.raises(solvers.SolverError, match="diverged") as info:
+            solvers.solve(kind, op, np.ones(3))
+        np.testing.assert_array_equal(info.value.delta, np.zeros(3))
+        assert info.value.residual_rel == 1.0
+
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_verdict_follows_the_best_residual(self, kind):
+        rng = np.random.default_rng(18)
+        op = MatrixOperator(_random_spd(rng, 8, cond=10.0))
+        b = rng.standard_normal(8)
+        short = solvers.SolverConfig(tol_rel_residual=1e-12, max_iters=2,
+                                     max_epochs=2, neumann_terms=2)
+        for config in (solvers.default_solver_config(kind), short):
+            result = solvers.solve(kind, op, b, config)
+            assert result.iterations == len(result.trace) >= 1
+            assert result.residual_rel == min(1.0, min(result.trace))
+            assert result.converged == (
+                result.residual_rel <= config.tol_rel_residual)
+
     def test_unknown_kind_rejected(self):
         op = MatrixOperator(np.eye(2))
         with pytest.raises(ConfigError, match="gmres"):
@@ -379,5 +394,5 @@ class TestSolve:
     @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
     def test_rhs_length_checked(self, kind):
         op = MatrixOperator(np.eye(3))
-        with pytest.raises(ValueError, match="right-hand side"):
+        with pytest.raises(ConfigError, match="right-hand side"):
             solvers.solve(kind, op, np.ones(2))
