@@ -12,7 +12,6 @@ from .data import (
     LabelView,
     Observed,
     Oracle,
-    Retrain,
     SyntheticConfig,
     arrival_set,
     generate_synthetic,
@@ -73,7 +72,6 @@ __all__ = [
     "NumericalError",
     "Observed",
     "Oracle",
-    "Retrain",
     "SolveResult",
     "SolverConfig",
     "SolverError",

@@ -175,22 +175,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_spec(args: argparse.Namespace, input_dim: int) -> models.ModelSpec:
-    hidden_dims = ()
-    if args.model == "mlp":
-        hidden_dims = _parse_int_list(args.hidden_dims, "hidden-dims")
-        if not hidden_dims:
-            raise ConfigError(
-                "--model mlp needs at least one hidden width; "
-                "--model logreg has none"
-            )
-    return models.Mlp(input_dim, hidden_dims, args.l2_coeff)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data)
     splits = window_split(dataset, args.t, args.t_prime, args.d_test)
-    spec = _model_spec(args, dataset.feature_dim)
+    spec = models.spec_from_header({
+        "kind": args.model, "input_dim": dataset.feature_dim,
+        "hidden_dims": _parse_int_list(args.hidden_dims, "hidden-dims"),
+        "l2_coeff": args.l2_coeff,
+    })
     config = TrainConfig(
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,

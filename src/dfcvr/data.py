@@ -104,14 +104,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Observed:
-    """Labels as visible at training time: positive iff payment before cutoff."""
+    """Labels as visible at ``cutoff``: positive iff payment before it.
 
-    cutoff: Timestamp
-
-
-@dataclass(frozen=True)
-class Retrain:
-    """Labels as visible at a later cutoff (typically the evaluation time)."""
+    The stale model sees ``Observed(t)``; a retrain at the evaluation time
+    ``t_prime`` sees ``Observed(t_prime)``.
+    """
 
     cutoff: Timestamp
 
@@ -121,7 +118,7 @@ class Oracle:
     """Ground-truth labels: positive iff the click ever converts."""
 
 
-LabelView = Observed | Retrain | Oracle
+LabelView = Observed | Oracle
 
 
 def baseline_view(method: str, t: Timestamp, t_prime: Timestamp) -> LabelView:
@@ -130,7 +127,7 @@ def baseline_view(method: str, t: Timestamp, t_prime: Timestamp) -> LabelView:
     ``vanilla`` sees labels as of the cutoff ``t``, ``retrain`` as of
     ``t_prime``, and ``oracle`` every eventual conversion.
     """
-    return {"vanilla": Observed(t), "retrain": Retrain(t_prime),
+    return {"vanilla": Observed(t), "retrain": Observed(t_prime),
             "oracle": Oracle()}[method]
 
 
@@ -139,7 +136,7 @@ def labels_of(dataset: Dataset, view: LabelView) -> np.ndarray:
     has_pay = dataset.pay_ts != PAY_TS_MISSING
     if isinstance(view, Oracle):
         return has_pay.astype(np.float64)
-    if isinstance(view, (Observed, Retrain)):
+    if isinstance(view, Observed):
         return (has_pay & (dataset.pay_ts < view.cutoff)).astype(np.float64)
     raise TypeError(f"unknown label view: {view!r}")
 
@@ -213,7 +210,7 @@ def reversal_set(
     """Indices of pre-``t`` clicks whose payment lands in ``[t, t_prime)``.
 
     These are exactly the samples labeled 0 under ``Observed(t)`` but 1
-    under ``Retrain(t_prime)``: the fake negatives whose labels reverse.
+    under ``Observed(t_prime)``: the fake negatives whose labels reverse.
     Returns a sorted int64 index array into ``dataset``.
     """
     if t >= t_prime:

@@ -31,7 +31,6 @@ from .data import (
     LabelView,
     Observed,
     Oracle,
-    Retrain,
     SyntheticConfig,
     WindowSplit,
     arrival_set,
@@ -42,7 +41,7 @@ from .data import (
     reversal_set,
     window_split,
 )
-from .errors import ConfigError, DataFormatError, DfcvrError
+from .errors import ConfigError, DfcvrError
 from .training import TrainConfig, train
 
 SCHEMA_VERSION = 1
@@ -203,10 +202,7 @@ def _model_from_json(raw: dict, data: SyntheticConfig | str):
         if not isinstance(data, SyntheticConfig):
             raise ConfigError("model.input_dim is required for CSV data")
         header["input_dim"] = data.feature_dim
-    try:
-        return models.spec_from_header(header)
-    except DataFormatError as exc:
-        raise ConfigError(str(exc)) from None
+    return models.spec_from_header(header)
 
 
 @contextlib.contextmanager
@@ -367,9 +363,6 @@ def _aggregate(per_seed: list[dict]) -> dict:
     return {"mean": mean, "variance": variance}
 
 
-_METRICS = ("auc", "prauc", "log_loss")
-
-
 def _finish_seeds(config: ExperimentConfig, protocol: str,
                   per_seed: list[dict]) -> dict:
     """:func:`_finish` with the seed blocks and their aggregate; the CSV
@@ -377,6 +370,7 @@ def _finish_seeds(config: ExperimentConfig, protocol: str,
     aggregate = _aggregate(per_seed)
     blocks = [(str(s["seed"]), s) for s in per_seed]
     blocks.append(("mean", aggregate["mean"]))
+    names = [f.name for f in fields(metrics.MethodMetrics)]
     rows = []
     for label, block in blocks:
         for method, values in block["methods"].items():
@@ -385,13 +379,13 @@ def _finish_seeds(config: ExperimentConfig, protocol: str,
                 "protocol": protocol, "seed": label, "method": method,
                 **values,
                 **{f"ri_{k}": "" if ri.get(k) is None else ri[k]
-                   for k in _METRICS},
+                   for k in names},
             })
-    fields = ["protocol", "seed", "method", *_METRICS,
-              *(f"ri_{k}" for k in _METRICS)]
+    columns = ["protocol", "seed", "method", *names,
+               *(f"ri_{k}" for k in names)]
     return _finish(config, protocol,
                    {"per_seed": per_seed, "aggregate": aggregate},
-                   f"{protocol}_metrics.csv", fields, rows)
+                   f"{protocol}_metrics.csv", columns, rows)
 
 
 def _finish(config: ExperimentConfig, protocol: str, body: dict,
@@ -488,7 +482,7 @@ def run_online(config: ExperimentConfig) -> dict:
         online = np.flatnonzero(dataset.click_ts < config.t_prime)
         params["retrain_online"] = _train(
             config, "retrain_online", seed, dataset.subset(online),
-            Retrain(config.t_prime), splits.valid, timings,
+            Observed(config.t_prime), splits.valid, timings,
         )
         per_seed.append(_seed_block(
             config, seed, params, splits.test, timings, ONLINE_METHODS,

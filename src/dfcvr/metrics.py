@@ -7,7 +7,7 @@ precision with ties broken deterministically by ascending sample index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,13 +93,14 @@ def ri(
 
 @dataclass(frozen=True)
 class MethodMetrics:
+    """What every method reports; reports and tables list these fields."""
+
     auc: float
     prauc: float
     log_loss: float
 
     def to_dict(self) -> dict:
-        return {"auc": self.auc, "prauc": self.prauc,
-                "log_loss": self.log_loss}
+        return asdict(self)
 
 
 def compute_method_metrics(
@@ -123,15 +124,12 @@ def ri_block(
     """
     if vanilla_key not in methods or retrain_key not in methods:
         return {}
-    van = methods[vanilla_key]
-    ret = methods[retrain_key]
+    van = methods[vanilla_key].to_dict()
+    ret = methods[retrain_key].to_dict()
     out: dict[str, dict[str, float | None]] = {}
     for name, mm in methods.items():
         if name in (vanilla_key, retrain_key):
             continue
-        out[name] = {
-            "auc": ri(mm.auc, van.auc, ret.auc),
-            "prauc": ri(mm.prauc, van.prauc, ret.prauc),
-            "log_loss": ri(mm.log_loss, van.log_loss, ret.log_loss),
-        }
+        out[name] = {k: ri(v, van[k], ret[k])
+                     for k, v in mm.to_dict().items()}
     return out

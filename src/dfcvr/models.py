@@ -74,7 +74,7 @@ def unpack_params(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W, b) views into the flat vector, no copies."""
     if theta.shape != (num_params(spec),):
-        raise ValueError(
+        raise ConfigError(
             f"parameter vector has shape {theta.shape}, "
             f"expected ({num_params(spec)},)"
         )
@@ -135,7 +135,7 @@ def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.shape[1] != spec.input_dim:
-        raise ValueError(
+        raise ConfigError(
             f"feature dim {batch.shape[1]} does not match model input "
             f"dim {spec.input_dim}"
         )
@@ -175,9 +175,9 @@ def build_state(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError("feature batch shape does not match the model")
+        raise ConfigError("feature batch shape does not match the model")
     if y.shape != (x.shape[0],):
-        raise ValueError("label vector length does not match the batch")
+        raise ConfigError("label vector length does not match the batch")
     layers = unpack_params(spec, params)
 
     inputs = [x]
@@ -274,8 +274,9 @@ def hvp_from_state(
 
     Uses the cached state at the parameters it was built with; ``rows``
     restricts the product to a subset of the cached batch (the mean is
-    then over that subset). The ReLU second derivative vanishes almost
-    everywhere, so only activity masks from the cache are needed.
+    then over that subset), and None selects every cached row. The ReLU
+    second derivative vanishes almost everywhere, so only activity masks
+    from the cache are needed.
 
     ``curvature="hessian"`` gives the exact Hessian. ``"ggn"`` gives the
     generalized Gauss-Newton matrix ``J^T Diag(h) J / n`` plus the L2
@@ -290,22 +291,18 @@ def hvp_from_state(
     ggn = curvature == "ggn"
     layers = unpack_params(spec, params)
     if v.shape != (num_params(spec),):
-        raise ValueError("direction vector length does not match the model")
+        raise ConfigError("direction vector length does not match the model")
     vs = unpack_params(spec, v)
 
     if rows is None:
-        inputs = state.inputs
-        masks = state.masks
-        deltas = state.deltas
-        h = state.h
-    else:
-        inputs = [arr[rows] for arr in state.inputs]
-        masks = [arr[rows] for arr in state.masks]
-        # deltas[0] is not read: it pairs with the all-zero input tangent.
-        # The Gauss-Newton product reads none of them.
-        deltas = [] if ggn else (
-            [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]])
-        h = state.h[rows]
+        rows = slice(None)  # a view of every row, not a copy
+    inputs = [arr[rows] for arr in state.inputs]
+    masks = [arr[rows] for arr in state.masks]
+    # deltas[0] is not read: it pairs with the all-zero input tangent.
+    # The Gauss-Newton product reads none of them.
+    deltas = [] if ggn else (
+        [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]])
+    h = state.h[rows]
     n = inputs[0].shape[0]
 
     # Forward sweep: directional derivatives of activations. The input
@@ -364,25 +361,35 @@ def _spec_header(spec: ModelSpec) -> dict:
 
 
 def spec_from_header(header: dict) -> ModelSpec:
-    """Inverse of :func:`_spec_header`; ``"logreg"`` has no hidden layers."""
+    """Inverse of :func:`_spec_header`, and the one reader of a model
+    description: checkpoint headers, experiment configs and ``dfcvr
+    train`` all build their spec here.
+
+    ``"logreg"`` has no hidden layers and ignores ``hidden_dims``;
+    ``"mlp"`` needs at least one. Raises :class:`ConfigError`.
+    """
     try:
         kind = header["kind"]
-        if kind in ("logreg", "mlp"):
-            hidden = header["hidden_dims"] if kind == "mlp" else ()
-            return Mlp(
-                input_dim=int(header["input_dim"]),
-                hidden_dims=tuple(int(h) for h in hidden),
-                l2_coeff=float(header["l2_coeff"]),
-            )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad model header: {exc}") from None
-    raise DataFormatError(f"unknown model kind {kind!r}")
+        if kind not in ("logreg", "mlp"):
+            raise ConfigError(f"unknown model kind {kind!r}")
+        hidden = ()
+        if kind == "mlp":
+            hidden = tuple(int(h) for h in header["hidden_dims"])
+            if not hidden:
+                raise ConfigError(
+                    'model kind "mlp" needs at least one hidden width; '
+                    'kind "logreg" has none'
+                )
+        return Mlp(int(header["input_dim"]), hidden,
+                   float(header["l2_coeff"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model header: {exc}") from None
 
 
 def save_checkpoint(path: str, spec: ModelSpec, params: np.ndarray) -> None:
     """Binary checkpoint: magic, JSON header, float64 little-endian params."""
     if params.shape != (num_params(spec),):
-        raise ValueError("parameter vector does not match the model spec")
+        raise ConfigError("parameter vector does not match the model spec")
     header = dict(_spec_header(spec), num_params=int(num_params(spec)))
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -414,14 +421,17 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, np.ndarray]:
             header = json.loads(fh.read(blob_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: corrupt header: {exc}") from None
-        spec = spec_from_header(header)
+        try:
+            spec = spec_from_header(header)
+        except ConfigError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
         payload = fh.read()
-    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     expected = num_params(spec)
-    if header.get("num_params") != expected or params.shape != (expected,):
+    if header.get("num_params") != expected or len(payload) != 8 * expected:
         raise DataFormatError(
             f"{path}: parameter payload does not match the declared model"
         )
+    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(params)):
         raise DataFormatError(f"{path}: parameters contain non-finite values")
     return spec, params

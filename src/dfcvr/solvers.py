@@ -166,7 +166,7 @@ class DampedHessianOperator:
 
 
 class _Breakdown(Exception):
-    """A solver step cannot continue; the loop raises it as a SolverError."""
+    """A solver cannot continue; the loop raises it as a SolverError."""
 
 
 def _solve_loop(diverged: str):
@@ -280,22 +280,23 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
     The recurrence ``w <- w - s A w`` yields both the next series term
     and the exact residual of the partial sum, so each term costs one
     HVP. The scale ``s`` must satisfy ``s * norm(A) < 1``; it is
-    validated (or calibrated, when unset) with a spectral-norm estimate.
+    validated (or calibrated, when unset) with a spectral-norm estimate,
+    which must be positive (a NaN estimate is not).
     """
     estimate = power_iteration(operator, seed=config.seed)
-    if config.neumann_scale is None:
-        if estimate <= 0.0:
-            raise SolverError("spectral-norm estimate is non-positive")
-        scale = _NEUMANN_SCALE_MARGIN / estimate
-    else:
-        scale = config.neumann_scale
-        # Strictly-greater test with a hair of slack: the exact boundary
-        # (e.g. the identity with s = 1) still converges in one term.
-        if scale * estimate - 1.0 > 1e-9:
-            raise SolverError(
-                f"series would diverge: scale * norm(A) ~ "
-                f"{scale * estimate:.3f} >= 1; reduce neumann_scale"
-            )
+    if not estimate > 0.0:
+        raise _Breakdown(
+            f"spectral-norm estimate {estimate} is not positive: the power "
+            "iteration diverged or the operator is not positive definite"
+        )
+    scale = config.neumann_scale or _NEUMANN_SCALE_MARGIN / estimate
+    # Strictly-greater test with a hair of slack: the exact boundary
+    # (e.g. the identity with s = 1) still converges in one term.
+    if scale * estimate - 1.0 > 1e-9:
+        raise _Breakdown(
+            f"series would diverge: scale * norm(A) ~ "
+            f"{scale * estimate:.3f} >= 1; reduce neumann_scale"
+        )
     delta = np.zeros_like(b)
     w = b.copy()
     for _ in range(config.neumann_terms):

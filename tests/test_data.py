@@ -12,7 +12,6 @@ from dfcvr.data import (
     Dataset,
     Observed,
     Oracle,
-    Retrain,
     SyntheticConfig,
     arrival_set,
     generate_synthetic,
@@ -73,12 +72,12 @@ def _label(click, pay, view):
 
 class TestLabelViews:
     def test_no_conversion_is_negative_under_every_view(self):
-        for view in (Observed(300), Retrain(600), Oracle()):
+        for view in (Observed(300), Observed(600), Oracle()):
             assert _label(100, None, view) == 0
 
     def test_fake_negative_reverses_under_later_cutoff(self):
         assert _label(100, 500, Observed(300)) == 0
-        assert _label(100, 500, Retrain(600)) == 1
+        assert _label(100, 500, Observed(600)) == 1
 
     def test_true_positive_everywhere(self):
         assert _label(100, 200, Observed(300)) == 1
@@ -106,7 +105,7 @@ class TestLabelViews:
         # Row by row: never converts, converts at 25, at 100, at 41.
         expected = {
             Observed(30): [0, 1, 0, 0],
-            Retrain(90): [0, 1, 0, 1],
+            Observed(90): [0, 1, 0, 1],
             Oracle(): [0, 1, 1, 1],
         }
         for view, labels in expected.items():

@@ -105,6 +105,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="data keys: colour"):
             harness.ExperimentConfig.from_json_dict(raw)
 
+    def test_mlp_without_hidden_widths_rejected(self):
+        raw = {
+            "data": {"n": 4000, "feature_dim": 5, "target_cvr": 0.2,
+                     "delay_mean_tau": 1000.0, "horizon": 12 * DAY},
+            "t": 8 * DAY, "t_prime": 11 * DAY, "d_test": DAY,
+            "model": {"kind": "mlp", "hidden_dims": []},
+        }
+        with pytest.raises(ConfigError, match="at least one hidden width"):
+            harness.ExperimentConfig.from_json_dict(raw)
+
     def test_csv_data_requires_input_dim(self):
         raw = {
             "data": {"csv": "clicks.csv"},
@@ -522,6 +532,10 @@ def _bad_input_argv(case, tmp_path):
     if case.endswith("truncated_checkpoint"):
         with open(ckpt, "r+b") as fh:
             fh.truncate(6)
+    if case.endswith("cut_in_payload"):
+        # Mid-float: the payload length is no multiple of 8.
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(os.path.getsize(ckpt) - 3)
     big_csv = tmp_path / "big.csv"
     big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
     latin_csv = tmp_path / "latin.csv"
@@ -532,9 +546,11 @@ def _bad_input_argv(case, tmp_path):
         f"{5 * i},-1,0.5,0.25,-0.5,1.0\n" for i in range(200)))
     config = str(tmp_path / "config.json")
     with open(config, "w") as fh:
+        hidden_dims = [] if case.endswith("without_widths_config") else [0]
         json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
                    "d_test": DAY,
-                   "model": {"input_dim": 4, "hidden_dims": [0]}}, fh)
+                   "model": {"input_dim": 4, "hidden_dims": hidden_dims}},
+                  fh)
     windows = ["--t", str(8 * DAY), "--t-prime", str(11 * DAY)]
     train = ["train", "--data", csv_path, *windows, "--d-test", str(DAY),
              "--out", str(tmp_path / "x.ckpt")]
@@ -552,6 +568,7 @@ def _bad_input_argv(case, tmp_path):
             *evaluate[3:],
         ],
         "evaluate_truncated_checkpoint": evaluate,
+        "evaluate_checkpoint_cut_in_payload": evaluate,
         "evaluate_dim_mismatch": evaluate,
         "update_dim_mismatch": update,
         "evaluate_nan_checkpoint": evaluate,
@@ -567,6 +584,7 @@ def _bad_input_argv(case, tmp_path):
         "train_negative_width": [*train, "--hidden-dims=-5"],
         "train_zero_width": [*train, "--hidden-dims", "0"],
         "offline_zero_width_config": ["offline", "--config", config],
+        "offline_mlp_without_widths_config": ["offline", "--config", config],
         "train_csv_timestamp_beyond_int64": [
             "train", "--data", str(big_csv), *train[3:]],
         "train_csv_not_utf8": [
@@ -584,12 +602,14 @@ def _bad_input_argv(case, tmp_path):
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "train_missing_csv", "evaluate_missing_checkpoint",
-        "evaluate_truncated_checkpoint", "evaluate_dim_mismatch",
+        "evaluate_truncated_checkpoint",
+        "evaluate_checkpoint_cut_in_payload", "evaluate_dim_mismatch",
         "update_dim_mismatch", "evaluate_nan_checkpoint",
         "update_negative_damping", "update_sq_zero_minibatch",
         "update_sq_zero_learning_rate", "update_neumann_zero_terms",
         "update_neumann_zero_scale", "train_negative_width",
         "train_zero_width", "offline_zero_width_config",
+        "offline_mlp_without_widths_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
         "train_mlp_without_widths", "train_csv_not_utf8",
         "evaluate_one_class_window",

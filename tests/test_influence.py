@@ -253,7 +253,7 @@ class TestDeltaTotal:
         report = influence.delta_total(
             spec, theta, dataset, data.Observed(T), _cg_request(flips)
         )
-        y_retrain = data.labels_of(dataset, data.Retrain(T_PRIME))
+        y_retrain = data.labels_of(dataset, data.Observed(T_PRIME))
         theta_new = _newton_fit(dataset.features, y_retrain, RIDGE)
         target = theta_new - theta
         cosine = report.delta @ target / (

@@ -2,9 +2,13 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfcvr import models
 from dfcvr.errors import ConfigError, DataFormatError
@@ -56,7 +60,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         lr = LogisticRegression(input_dim=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             models.predict(lr, np.zeros(4), np.ones(5))
 
     def test_clipping_inactive_on_bounded_fixtures(self):
@@ -311,6 +315,32 @@ class TestCheckpoints:
         path.write_bytes(blob[:-8])
         with pytest.raises(DataFormatError):
             models.load_checkpoint(str(path))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        input_dim=st.integers(1, 4),
+        hidden_dims=st.lists(st.integers(1, 3), max_size=2),
+        l2_coeff=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_proper_prefix_is_rejected_and_round_trip_is_exact(
+        self, input_dim, hidden_dims, l2_coeff, seed
+    ):
+        spec = Mlp(input_dim, tuple(hidden_dims), l2_coeff)
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(models.num_params(spec))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            models.save_checkpoint(str(path), spec, theta)
+            blob = path.read_bytes()
+            loaded_spec, loaded = models.load_checkpoint(str(path))
+            assert loaded_spec == spec
+            models.save_checkpoint(str(path), loaded_spec, loaded)
+            assert path.read_bytes() == blob
+            for end in range(len(blob)):
+                path.write_bytes(blob[:end])
+                with pytest.raises(DataFormatError):
+                    models.load_checkpoint(str(path))
 
     def test_logreg_checkpoint_format_is_unchanged(self, tmp_path):
         # The bytes a "logreg" checkpoint has always had.

@@ -226,6 +226,17 @@ class TestNeumann:
         np.testing.assert_allclose(result.residual_rel, recomputed,
                                    rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    @pytest.mark.parametrize("fill, named", [(np.nan, "nan"), (0.0, "0.0")])
+    def test_nan_or_zero_spectral_estimate_raises_naming_it(
+        self, scale, fill, named
+    ):
+        op = MatrixOperator(np.full((3, 3), fill))
+        config = solvers.SolverConfig(neumann_scale=scale)
+        with pytest.raises(solvers.SolverError,
+                           match=f"estimate {named} is not positive"):
+            solvers.solve("neumann", op, np.ones(3), config)
+
     def test_overlarge_scale_raises(self):
         op = MatrixOperator(np.diag([2.0, 1.0]))
         config = solvers.SolverConfig(neumann_scale=1.0)
