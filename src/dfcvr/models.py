@@ -2,9 +2,11 @@
 MLP without hidden layers.
 
 Parameters live in one flat float64 vector, laid out layer by layer as the
-row-major weight matrix followed by the bias vector. Gradients and
+row-major weight matrix followed by the bias vector. Gradients and exact
 Hessian-vector products (HVPs) share a cached forward/backward state so
 that repeated HVPs at a frozen parameter vector skip the forward pass.
+Gauss-Newton products, which updates solve with, read a cache of the
+logit Jacobian's layer factors instead: one matmul per layer each way.
 
 Logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and probabilities
 clipped to ``[PROB_CLIP, 1 - PROB_CLIP]`` before the loss; derivatives are
@@ -169,9 +171,25 @@ class BatchState:
         self.n = self.inputs[0].shape[0]
 
 
-def build_state(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> BatchState:
+@dataclass
+class GgnFactors:
+    """The logit Jacobian ``J`` at a frozen parameter vector, by layer.
+
+    ``jacobians[l]`` is the logit's derivative in hidden layer ``l``'s
+    pre-activation, ReLU mask folded in (the output layer's is 1). Row
+    ``r`` of ``J`` is ``jacobians[l][r]`` outer ``inputs[l][r]`` for each
+    layer's weights and ``jacobians[l][r]`` for its biases.
+    """
+
+    inputs: list[np.ndarray]
+    jacobians: list[np.ndarray]
+    h: np.ndarray
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+             y: np.ndarray):
+    """The forward pass and the clamp/h rule of :func:`build_state` and
+    :func:`build_ggn_factors`: layers, inputs, masks, g, h and losses."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
@@ -205,16 +223,34 @@ def build_state(
     # Where a clamp binds the coded loss is flat in the logit.
     g = np.where(smooth, f - y, 0.0)
     h = np.where(smooth, f * (1.0 - f), 0.0)
+    return layers, inputs, masks, g, h, losses
 
-    deltas = [np.empty(0)] * len(layers)
-    deltas[-1] = g[:, None]
-    for l in range(len(layers) - 1, 0, -1):
-        w_l, _ = layers[l]
-        delta = deltas[l] @ w_l
-        delta *= masks[l - 1]
-        deltas[l - 1] = delta
-    return BatchState(inputs=inputs, masks=masks, deltas=deltas, h=h,
-                      losses=losses)
+
+def _backward(layers, masks, top: np.ndarray) -> list[np.ndarray]:
+    """Send the per-sample logit derivative ``top`` (n, 1) back to every
+    layer's pre-activation, through the weights and the ReLU masks."""
+    out = [top]
+    for (w, _), mask in zip(layers[:0:-1], masks[::-1]):
+        delta = out[0] @ w
+        delta *= mask
+        out.insert(0, delta)
+    return out
+
+
+def build_state(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> BatchState:
+    layers, inputs, masks, g, h, losses = _forward(spec, params, x, y)
+    deltas = _backward(layers, masks, g[:, None])
+    return BatchState(inputs, masks, deltas, h, losses)
+
+
+def build_ggn_factors(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> GgnFactors:
+    layers, inputs, masks, _, h, _ = _forward(spec, params, x, y)
+    ones = np.ones((len(h), 1))
+    return GgnFactors(inputs, _backward(layers, masks, ones)[:-1], h)
 
 
 def _grad_from_state(
@@ -257,41 +293,23 @@ def bce_grad_sum(
     return _grad_from_state(spec, params, state, mean=False)
 
 
-# Curvature matrices :func:`hvp_from_state` can multiply by: the
-# generalized Gauss-Newton matrix and the exact Hessian.
-CURVATURES = ("ggn", "hessian")
-
-
 def hvp_from_state(
     spec: ModelSpec,
     params: np.ndarray,
     state: BatchState,
     v: np.ndarray,
     rows: np.ndarray | None = None,
-    curvature: str = "hessian",
 ) -> np.ndarray:
-    """Curvature-vector product via a forward-over-reverse sweep.
+    """Exact Hessian-vector product via a forward-over-reverse sweep.
 
     Uses the cached state at the parameters it was built with; ``rows``
     restricts the product to a subset of the cached batch (the mean is
     then over that subset), and None selects every cached row. The ReLU
     second derivative vanishes almost everywhere, so only activity masks
-    from the cache are needed.
-
-    ``curvature="hessian"`` gives the exact Hessian. ``"ggn"`` gives the
-    generalized Gauss-Newton matrix ``J^T Diag(h) J / n`` plus the L2
-    term, with ``J`` the Jacobian of the logits: the same sweep without
-    the two products with the loss derivatives ``deltas``. It is positive
-    semi-definite, and equals the Hessian without hidden layers. Updates
-    solve with G (``solvers.DampedHessianOperator``); the exact Hessian is
-    the reference the tests check the sweep against.
+    from the cache are needed. Updates solve with :func:`ggn_from_factors`
+    instead; this is the tests' reference.
     """
-    if curvature not in CURVATURES:
-        raise ConfigError(f"unknown curvature {curvature!r}")
-    ggn = curvature == "ggn"
     layers = unpack_params(spec, params)
-    if v.shape != (num_params(spec),):
-        raise ConfigError("direction vector length does not match the model")
     vs = unpack_params(spec, v)
 
     if rows is None:
@@ -299,9 +317,7 @@ def hvp_from_state(
     inputs = [arr[rows] for arr in state.inputs]
     masks = [arr[rows] for arr in state.masks]
     # deltas[0] is not read: it pairs with the all-zero input tangent.
-    # The Gauss-Newton product reads none of them.
-    deltas = [] if ggn else (
-        [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]])
+    deltas = [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]]
     h = state.h[rows]
     n = inputs[0].shape[0]
 
@@ -321,29 +337,64 @@ def hvp_from_state(
             ra *= masks[l]
             r_inputs.append(ra)
 
-    # Reverse sweep: directional derivatives of the deltas (for the
-    # Gauss-Newton product, the logit tangent scaled by h and sent back
-    # through the network as a gradient is).
+    # Reverse sweep: directional derivatives of the deltas.
     r_deltas = [np.empty(0)] * len(layers)
     ra *= h[:, None]
     r_deltas[-1] = ra
     for l in range(len(layers) - 1, 0, -1):
         w_l, _ = layers[l]
         r_delta = r_deltas[l] @ w_l
-        if not ggn:
-            r_delta += deltas[l] @ vs[l][0]
+        r_delta += deltas[l] @ vs[l][0]
         r_delta *= masks[l - 1]
         r_deltas[l - 1] = r_delta
 
     out = np.empty(num_params(spec))
     for l, (rdw, rdb) in enumerate(unpack_params(spec, out)):
         np.matmul(r_deltas[l].T, inputs[l], out=rdw)
-        if l > 0 and not ggn:
+        if l > 0:
             rdw += deltas[l].T @ r_inputs[l]
         rdw /= n
         rdw += spec.l2_coeff * vs[l][0]
         np.sum(r_deltas[l], axis=0, out=rdb)
         rdb /= n
+    return out
+
+
+def ggn_from_factors(
+    spec: ModelSpec,
+    factors: GgnFactors,
+    v: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gauss-Newton-vector product ``J^T Diag(h) J v / n`` plus the L2 term.
+
+    ``rows`` selects cached rows as in :func:`hvp_from_state`. ``s = J v``
+    and each layer's share of ``J^T (h s / n)`` take one matmul per layer:
+    the factor times ``V`` row-dotted with the input, then the factor's
+    transpose times the input scaled by ``s``.
+    """
+    vs = unpack_params(spec, v)
+    rows = slice(None) if rows is None else rows  # None: a view, no copy
+    inputs = [arr[rows] for arr in factors.inputs]
+    jacobians = [arr[rows] for arr in factors.jacobians]
+
+    # The output layer's factor is 1.
+    s = inputs[-1] @ vs[-1][0][0] + vs[-1][1]
+    for in_l, d_l, (vw, vb) in zip(inputs, jacobians, vs):
+        s += np.einsum("ij,ij->i", d_l @ vw, in_l)
+        s += d_l @ vb
+    h = factors.h[rows]
+    s *= h / len(h)
+
+    out = np.empty(num_params(spec))
+    grads = unpack_params(spec, out)
+    np.matmul(s, inputs[-1], out=grads[-1][0][0])
+    grads[-1][1][0] = s.sum()
+    for in_l, d_l, (dw, db) in zip(inputs, jacobians, grads):
+        np.matmul(d_l.T, in_l * s[:, None], out=dw)
+        np.matmul(s, d_l, out=db)
+    for (dw, _), (vw, _) in zip(grads, vs):
+        dw += spec.l2_coeff * vw
     return out
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     """Deterministic shuffle keyed by (seed, epoch).
@@ -32,9 +34,9 @@ class Adam:
         eps: float = 1e-8,
     ) -> None:
         if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
+            raise ConfigError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2

@@ -109,13 +109,15 @@ class SolverNotConvergedError(SolverError):
 class DampedHessianOperator:
     """``v -> (C(theta) + lam I) v`` over a frozen training batch.
 
-    ``C`` is the Gauss-Newton matrix, positive semi-definite for every
-    model, so the damped system is positive definite for ``lam > 0``. The
-    forward/backward state at ``theta`` is computed once and cached;
-    every HVP is then a single curvature sweep, evaluated in minibatches
-    of ``hvp_batch_size`` accumulated in index order. ``matvec_batch``
-    exposes the per-minibatch damped HVP for stochastic solvers; its
-    expectation over uniform minibatches equals ``matvec``.
+    ``C`` is the Gauss-Newton matrix ``J^T Diag(h) J / n`` plus the L2
+    term, positive semi-definite for every model, so the damped system is
+    positive definite for ``lam > 0``. ``J``, the logit Jacobian at the
+    fixed ``theta``, is cached once as layer factors; every product is
+    then one matmul per layer each way (``models.ggn_from_factors``), in
+    minibatches of ``hvp_batch_size`` accumulated in index order.
+    ``matvec_batch`` exposes the per-minibatch damped product for
+    stochastic solvers; its expectation over uniform minibatches equals
+    ``matvec``.
     """
 
     def __init__(
@@ -132,10 +134,9 @@ class DampedHessianOperator:
         if hvp_batch_size <= 0:
             raise ConfigError("hvp_batch_size must be positive")
         self.spec = spec
-        self.theta = theta.copy()
         self.lam = lam
         self.hvp_batch_size = hvp_batch_size
-        self._state = models.build_state(spec, self.theta, x, y)
+        self._factors = models.build_ggn_factors(spec, theta, x, y)
 
     @property
     def dim(self) -> int:
@@ -143,25 +144,20 @@ class DampedHessianOperator:
 
     @property
     def n_samples(self) -> int:
-        return self._state.n
+        return len(self._factors.h)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        n = self._state.n
+        n = len(self._factors.h)
         acc = np.zeros_like(v)
         for start in range(0, n, self.hvp_batch_size):
             stop = min(start + self.hvp_batch_size, n)
-            part = models.hvp_from_state(
-                self.spec, self.theta, self._state, v,
-                rows=slice(start, stop), curvature="ggn",
-            )
+            part = models.ggn_from_factors(
+                self.spec, self._factors, v, rows=slice(start, stop))
             acc += part * ((stop - start) / n)
         return acc + self.lam * v
 
     def matvec_batch(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        part = models.hvp_from_state(
-            self.spec, self.theta, self._state, v, rows=rows,
-            curvature="ggn",
-        )
+        part = models.ggn_from_factors(self.spec, self._factors, v, rows)
         return part + self.lam * v
 
 

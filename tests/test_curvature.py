@@ -1,11 +1,14 @@
 """The Gauss-Newton curvature ``G = J^T Diag(h) J / n + l2 I_weights``.
 
-``hvp_from_state(..., curvature="ggn")`` is checked against a dense
-oracle built from central differences of the logits, for symmetry and
-positive semi-definiteness over drawn widths, and for equality with the
-exact Hessian when the model has no hidden layers.
-``DampedHessianOperator``, which every update solves with, multiplies
-by G.
+The factored product ``ggn_from_factors``, which
+``DampedHessianOperator`` and so every update solves with, is checked
+against a dense oracle built from central differences of the logits:
+for a widening and a narrowing hidden layer, three hidden layers, rows
+where the logit clamp binds, contiguous chunks and gathered rows. It is also
+checked for symmetry and positive semi-definiteness over drawn widths,
+and for equality with the exact Hessian (``hvp_from_state``) when the
+model has no hidden layers. The exact Hessian's symmetry is a property
+of its own.
 """
 
 import numpy as np
@@ -14,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfcvr import models, solvers
-from dfcvr.errors import ConfigError
-from dfcvr.models import LogisticRegression, Mlp
+from dfcvr.models import LOGIT_CLAMP, PROB_CLIP, LogisticRegression, Mlp
 
 
 def _instance(seed, spec, n=25, scale=0.5):
@@ -36,15 +38,20 @@ def _logits(spec, theta, x):
     return (z @ w.T + b)[:, 0]
 
 
-def _dense(spec, theta, x, y, curvature, rows=None):
-    """The curvature matrix, one ``hvp_from_state`` column at a time."""
+def _product(spec, theta, x, y, curvature, rows=None):
+    """``v -> C v``: the factored Gauss-Newton product for ``"ggn"``, the
+    exact-Hessian sweep for ``"hessian"``."""
+    if curvature == "ggn":
+        factors = models.build_ggn_factors(spec, theta, x, y)
+        return lambda v: models.ggn_from_factors(spec, factors, v, rows=rows)
     state = models.build_state(spec, theta, x, y)
-    eye = np.eye(theta.size)
-    return np.column_stack([
-        models.hvp_from_state(spec, theta, state, e, rows=rows,
-                              curvature=curvature)
-        for e in eye
-    ])
+    return lambda v: models.hvp_from_state(spec, theta, state, v, rows=rows)
+
+
+def _dense(spec, theta, x, y, curvature, rows=None):
+    """The curvature matrix, one product column at a time."""
+    product = _product(spec, theta, x, y, curvature, rows)
+    return np.column_stack([product(e) for e in np.eye(theta.size)])
 
 
 def _weight_mask(spec):
@@ -55,19 +62,34 @@ def _weight_mask(spec):
     return mask
 
 
+def _oracle(spec, theta, x):
+    """Dense ``J^T Diag(h) J / n + l2 I_weights``, with ``J`` from central
+    differences of the logits and ``h = 0`` where a clamp binds.
+
+    A logit is linear in each single parameter while no ReLU changes
+    state, so the differences are exact up to rounding.
+    """
+    eps = 1e-6
+    jac = np.column_stack([
+        (_logits(spec, theta + eps * e, x)
+         - _logits(spec, theta - eps * e, x)) / (2 * eps)
+        for e in np.eye(theta.size)
+    ])
+    z = _logits(spec, theta, x)
+    f = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
+    smooth = ((np.abs(z) < LOGIT_CLAMP) & (f > PROB_CLIP)
+              & (f < 1.0 - PROB_CLIP))
+    h = np.where(smooth, f * (1.0 - f), 0.0)
+    oracle = (jac.T * h) @ jac / len(x)
+    oracle += np.diag(spec.l2_coeff * _weight_mask(spec))
+    return oracle
+
+
 class TestDenseOracle:
     def test_matches_jacobian_outer_product(self):
         spec = Mlp(input_dim=3, hidden_dims=(4, 3), l2_coeff=0.03)
         _, theta, x, y = _instance(0, spec)
-        eps = 1e-6
-        jac = np.column_stack([
-            (_logits(spec, theta + eps * e, x)
-             - _logits(spec, theta - eps * e, x)) / (2 * eps)
-            for e in np.eye(theta.size)
-        ])
-        f = 1.0 / (1.0 + np.exp(-_logits(spec, theta, x)))
-        oracle = (jac.T * (f * (1.0 - f))) @ jac / len(x)
-        oracle += np.diag(spec.l2_coeff * _weight_mask(spec))
+        oracle = _oracle(spec, theta, x)
 
         ggn = _dense(spec, theta, x, y, "ggn")
         np.testing.assert_allclose(ggn, oracle, rtol=1e-6, atol=1e-9)
@@ -101,31 +123,66 @@ def _cases(draw):
 def test_ggn_is_symmetric_and_positive_semi_definite(case):
     spec, n, seed = case
     rng, theta, x, y = _instance(seed, spec, n=n, scale=1.0)
-    state = models.build_state(spec, theta, x, y)
+    g = _product(spec, theta, x, y, "ggn")
     u, v = rng.standard_normal((2, theta.size))
-
-    def g(w):
-        return models.hvp_from_state(spec, theta, state, w, curvature="ggn")
-
     gu, gv = g(u), g(v)
     scale = np.linalg.norm(u) * np.linalg.norm(gv) + 1e-300
     assert abs(u @ gv - v @ gu) <= 1e-12 * scale
     assert v @ gv >= -1e-12 * np.linalg.norm(v) * np.linalg.norm(gv)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=_cases())
+def test_hessian_is_symmetric(case):
+    spec, n, seed = case
+    rng, theta, x, y = _instance(seed, spec, n=n, scale=1.0)
+    hessian = _product(spec, theta, x, y, "hessian")
+    u, v = rng.standard_normal((2, theta.size))
+    hu, hv = hessian(u), hessian(v)
+    scale = (np.linalg.norm(u) * np.linalg.norm(hv)
+             + np.linalg.norm(v) * np.linalg.norm(hu) + 1e-300)
+    assert abs(u @ hv - v @ hu) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("rows", [None, np.array([0, 3, 3, 7])])
-def test_logistic_regression_ggn_is_the_hessian_bytewise(rows):
+def test_logistic_regression_ggn_is_the_hessian(rows):
     spec = LogisticRegression(input_dim=6, l2_coeff=0.02)
     rng, theta, x, y = _instance(2, spec, n=12)
-    state = models.build_state(spec, theta, x, y)
+    ggn, hessian = (_product(spec, theta, x, y, c, rows)
+                    for c in ("ggn", "hessian"))
     for _ in range(5):
         v = rng.standard_normal(theta.size)
-        ggn, hessian = (
-            models.hvp_from_state(spec, theta, state, v, rows=rows,
-                                  curvature=c)
-            for c in ("ggn", "hessian")
+        np.testing.assert_allclose(ggn(v), hessian(v), rtol=1e-12,
+                                   atol=1e-14)
+
+
+class TestFactoredProduct:
+    @pytest.mark.parametrize("spec", [
+        Mlp(3, (8,), 0.02),  # a hidden layer wider than its input
+        Mlp(30, (4,), 0.02),  # and one narrower
+        Mlp(4, (5, 7, 3), 0.01),
+    ], ids=["3-8", "30-4", "three-hidden-layers"])
+    def test_matches_the_oracle(self, spec):
+        _, theta, x, y = _instance(7, spec, n=40)
+        np.testing.assert_allclose(
+            _dense(spec, theta, x, y, "ggn"), _oracle(spec, theta, x),
+            rtol=1e-6, atol=1e-9,
         )
-        assert ggn.tobytes() == hessian.tobytes()
+
+    def test_rows_where_the_logit_clamp_binds_add_nothing(self):
+        spec = Mlp(3, (6,), 0.01)
+        _, theta, x, y = _instance(8, spec, n=60)
+        x[::3] *= 60.0
+        z = _logits(spec, theta, x)
+        clamped = np.abs(z) >= LOGIT_CLAMP
+        assert 0 < clamped.sum() < 20
+        factors = models.build_ggn_factors(spec, theta, x, y)
+        assert np.all(factors.h[clamped] == 0.0)
+        assert np.all(factors.h[1::3] > 0.0)  # the rows left unscaled
+        np.testing.assert_allclose(
+            _dense(spec, theta, x, y, "ggn"), _oracle(spec, theta, x),
+            rtol=1e-6, atol=1e-9,
+        )
 
 
 class TestOperator:
@@ -148,17 +205,46 @@ class TestOperator:
         spec = Mlp(input_dim=3, hidden_dims=(6, 4))
         _, theta, x, y = _instance(4, spec, n=30, scale=1.5)
         lowest = {c: np.linalg.eigvalsh(_dense(spec, theta, x, y, c))[0]
-                  for c in models.CURVATURES}
+                  for c in ("ggn", "hessian")}
         assert lowest["hessian"] < 0 < lowest["ggn"] + 1e-12
         b = np.random.default_rng(5).standard_normal(theta.size)
         op = solvers.DampedHessianOperator(spec, theta, x, y, 1e-2)
         result = solvers.solve("cg", op, b)
         assert result.converged
 
+    def test_contiguous_chunks_match_the_oracle(self):
+        spec = Mlp(input_dim=5, hidden_dims=(6, 4), l2_coeff=0.01)
+        _, theta, x, y = _instance(9, spec, n=45)
+        op = solvers.DampedHessianOperator(spec, theta, x, y, 0.05,
+                                           hvp_batch_size=7)
+        dense = np.column_stack([op.matvec(e) for e in np.eye(theta.size)])
+        np.testing.assert_allclose(
+            dense, _oracle(spec, theta, x) + 0.05 * np.eye(theta.size),
+            rtol=1e-6, atol=1e-9,
+        )
 
-def test_unknown_curvature_is_a_config_error():
-    spec = LogisticRegression(input_dim=2)
-    _, theta, x, y = _instance(6, spec)
-    state = models.build_state(spec, theta, x, y)
-    with pytest.raises(ConfigError, match="unknown curvature 'fisher'"):
-        models.hvp_from_state(spec, theta, state, theta, curvature="fisher")
+    def test_gathered_rows_match_the_oracle(self):
+        spec = Mlp(input_dim=5, hidden_dims=(6, 4), l2_coeff=0.01)
+        _, theta, x, y = _instance(10, spec, n=45)
+        rows = np.array([17, 3, 29, 3, 0, 44, 8, 8, 21])  # unsorted, repeats
+        op = solvers.DampedHessianOperator(spec, theta, x, y, 0.05)
+        dense = np.column_stack([op.matvec_batch(e, rows)
+                                 for e in np.eye(theta.size)])
+        np.testing.assert_allclose(
+            dense, _oracle(spec, theta, x[rows]) + 0.05 * np.eye(theta.size),
+            rtol=1e-6, atol=1e-9,
+        )
+
+    def test_operators_from_the_same_inputs_agree_bytewise(self):
+        spec = Mlp(input_dim=4, hidden_dims=(8, 3), l2_coeff=0.01)
+        rng, theta, x, y = _instance(11, spec, n=50)
+        v = rng.standard_normal(theta.size)
+        rows = rng.permutation(50)[:20]
+        first, second = (
+            solvers.DampedHessianOperator(spec, theta, x, y, 0.05,
+                                          hvp_batch_size=16)
+            for _ in range(2)
+        )
+        assert first.matvec(v).tobytes() == second.matvec(v).tobytes()
+        assert (first.matvec_batch(v, rows).tobytes()
+                == second.matvec_batch(v, rows).tobytes())

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfcvr import data
 from dfcvr.data import (
@@ -112,6 +114,27 @@ class TestLabelViews:
             np.testing.assert_array_equal(
                 labels_of(ds, view), np.array(labels, dtype=float)
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 50), st.none() | st.integers(0, 50)),
+        min_size=1, max_size=40,
+    ),
+    cutoff=st.integers(0, 110),
+)
+def test_labels_of_reads_each_row_against_the_cutoff(rows, cutoff):
+    clicks = [click for click, _ in rows]
+    pays = [PAY_TS_MISSING if delay is None else click + delay
+            for click, delay in rows]
+    ds = _dataset(clicks, pays, d=1)
+    converts = [pay != PAY_TS_MISSING for pay in pays]
+    seen = [c and pay < cutoff for c, pay in zip(converts, pays)]
+    np.testing.assert_array_equal(labels_of(ds, Oracle()),
+                                  np.array(converts, dtype=float))
+    np.testing.assert_array_equal(labels_of(ds, Observed(cutoff)),
+                                  np.array(seen, dtype=float))
 
 
 class TestTemporalSplit:

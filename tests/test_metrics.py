@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dfcvr import metrics, models
 
@@ -83,6 +85,30 @@ class TestAuc:
             np.testing.assert_allclose(
                 metrics.auc(0.5 * scores + 0.25, labels), base, atol=1e-12
             )
+
+
+@st.composite
+def _ranked_sets(draw):
+    """Labels, each row's rank among ten score levels, and two strictly
+    increasing sets of levels: reading the ranks through one set and
+    then the other is a strictly monotone map of the scores."""
+    m = draw(st.integers(2, 60))
+    ranks = np.array(draw(st.lists(st.integers(0, 9), min_size=m,
+                                   max_size=m)))
+    labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                    min_size=m, max_size=m)))
+    assume(0.0 < labels.sum() < m)
+    levels = st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10,
+                      unique=True)
+    return ranks, labels, np.sort(draw(levels)), np.sort(draw(levels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ranked_sets())
+def test_auc_is_invariant_under_strictly_monotone_maps(case):
+    ranks, labels, before, after = case
+    assert metrics.auc(after[ranks], labels) == metrics.auc(before[ranks],
+                                                            labels)
 
 
 class TestPrauc:

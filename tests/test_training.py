@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from dfcvr import data, metrics, models, training
+from dfcvr import data, metrics, models, optim, training
 from dfcvr.errors import ConfigError
 
 
@@ -223,6 +223,16 @@ class TestFailureModes:
         ):
             with pytest.raises(ConfigError, match=field):
                 training.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -1e-3}, "learning_rate"),
+        ({"learning_rate": 1e-3, "beta1": 1.0}, "betas"),
+        ({"learning_rate": 1e-3, "beta2": -0.1}, "betas"),
+    ])
+    def test_adam_settings_are_config_errors(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            optim.Adam(3, **kwargs)
 
 
 class TestL2Override:
