@@ -231,7 +231,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     train_end = args.t if args.train_end is None else args.train_end
     if not 0 < train_end <= args.t:
         raise ConfigError("train-end must lie in (0, t]")
-    core = dataset.subset(np.flatnonzero(dataset.click_ts < train_end))
+    core = dataset.window(0, train_end)
     if len(core) == 0:
         raise ConfigError("no samples before train-end")
 
@@ -276,10 +276,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     spec, params, dataset = _load_model_and_data(args)
-    clicks = dataset.click_ts
-    test = dataset.subset(np.flatnonzero(
-        (clicks >= args.t_prime) & (clicks < args.t_prime + args.d_test)
-    ))
+    test = dataset.window(args.t_prime, args.t_prime + args.d_test)
     mm = evaluate_test_window(spec, params, test, args.t_prime, args.d_test)
     _emit(mm.to_dict(), args.report)
     return 0

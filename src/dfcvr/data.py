@@ -6,7 +6,8 @@ of a sample depends on *when you look*: a click whose payment lands after
 the training cutoff is observed as a negative even though it will convert.
 Label views make that observation time explicit.
 
-Timestamps are integer seconds. All time windows are half-open `[a, b)`.
+Timestamps are integer seconds. All time windows are half-open `[a, b)`
+and are cut by :meth:`Dataset.window`.
 """
 
 from __future__ import annotations
@@ -57,17 +58,19 @@ class Dataset:
         click_ts = np.ascontiguousarray(click_ts, dtype=np.int64)
         pay_ts = np.ascontiguousarray(pay_ts, dtype=np.int64)
         if features.ndim != 2:
-            raise ValueError("features must be a 2-d array (n, d)")
+            raise DataFormatError("features must be a 2-d array (n, d)")
         n = features.shape[0]
         if click_ts.shape != (n,) or pay_ts.shape != (n,):
-            raise ValueError("features, click_ts and pay_ts lengths differ")
+            raise DataFormatError(
+                "features, click_ts and pay_ts lengths differ"
+            )
         if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite values")
+            raise DataFormatError("features contain non-finite values")
         if n and click_ts.min() < 0:
-            raise ValueError("click_ts must be non-negative")
+            raise DataFormatError("click_ts must be non-negative")
         has_pay = pay_ts != PAY_TS_MISSING
         if np.any(pay_ts[has_pay] < click_ts[has_pay]):
-            raise ValueError("pay_ts precedes click_ts for some samples")
+            raise DataFormatError("pay_ts precedes click_ts for some samples")
         for arr in (features, click_ts, pay_ts):
             arr.setflags(write=False)
         self._features = features
@@ -100,6 +103,12 @@ class Dataset:
             self._click_ts[indices],
             self._pay_ts[indices],
         )
+
+    def window(self, start: Timestamp, stop: Timestamp) -> "Dataset":
+        """The clicks of ``[start, stop)``, in log order; every click-time
+        window of the package is cut here."""
+        clicks = self._click_ts
+        return self.subset(np.flatnonzero((clicks >= start) & (clicks < stop)))
 
 
 @dataclass(frozen=True)
@@ -156,19 +165,13 @@ def temporal_split(
             f"training cutoff t={t} overlaps the validation window "
             f"[{t_prime - d_test}, {t_prime})"
         )
-    clicks = dataset.click_ts
-    parts = {
-        "train": clicks < t,
-        "valid": (clicks >= t_prime - d_test) & (clicks < t_prime),
-        "test": (clicks >= t_prime) & (clicks < t_prime + d_test),
-    }
-    out = []
-    for name, mask in parts.items():
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
+    train = dataset.window(0, t)
+    valid = dataset.window(t_prime - d_test, t_prime)
+    test = dataset.window(t_prime, t_prime + d_test)
+    for name, part in (("train", train), ("valid", valid), ("test", test)):
+        if len(part) == 0:
             raise ConfigError(f"{name} split is empty for the given windows")
-        out.append(dataset.subset(idx))
-    return out[0], out[1], out[2]
+    return train, valid, test
 
 
 class WindowSplit(NamedTuple):
@@ -192,16 +195,13 @@ def window_split(
     the windows of :func:`temporal_split`.
     """
     train_full, valid, test = temporal_split(dataset, t, t_prime, d_test)
-    border = t - d_test
-    core_idx = np.flatnonzero(train_full.click_ts < border)
-    fit_idx = np.flatnonzero(train_full.click_ts >= border)
-    if core_idx.size == 0 or fit_idx.size == 0:
+    core = train_full.window(0, t - d_test)
+    fit_valid = train_full.window(t - d_test, t)
+    if len(core) == 0 or len(fit_valid) == 0:
         raise ConfigError(
             "training window cannot be split into core and validation days"
         )
-    return WindowSplit(
-        train_full.subset(core_idx), train_full.subset(fit_idx), valid, test
-    )
+    return WindowSplit(core, fit_valid, valid, test)
 
 
 def reversal_set(
@@ -234,10 +234,7 @@ def arrival_set(
     """
     if t >= t_prime:
         raise ConfigError(f"need t < t_prime, got t={t}, t_prime={t_prime}")
-    idx = np.flatnonzero(
-        (dataset.click_ts >= t) & (dataset.click_ts < t_prime)
-    )
-    arrived = dataset.subset(idx)
+    arrived = dataset.window(t, t_prime)
     return arrived, labels_of(arrived, Observed(t_prime))
 
 
@@ -505,6 +502,6 @@ def _parse_body(fh: TextIO, d: int) -> Dataset | None:
             )
         if table.shape[0] == n_rows:
             return Dataset(table["f"], table["c"], table["p"])
-    except (ValueError, Warning):
+    except (ValueError, Warning, DataFormatError):
         pass
     return None

@@ -44,7 +44,7 @@ from .data import (
 from .errors import ConfigError, DfcvrError
 from .training import TrainConfig, train
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 VALID_METHODS = ("vanilla", "retrain", "oracle", "ifdfm", "ifdfm_wo_add")
 ONLINE_METHODS = ("pretrain", "ifdfm", "ifdfm_wo_add", "retrain_online")
@@ -231,12 +231,6 @@ def _load_splits(
                                      config.d_test)
 
 
-def _effective_spec(config: ExperimentConfig) -> models.ModelSpec:
-    if config.train.l2_coeff is None:
-        return config.model
-    return replace(config.model, l2_coeff=config.train.l2_coeff)
-
-
 def _train(config: ExperimentConfig, name: str, seed: int, dataset: Dataset,
            view: LabelView, valid: Dataset, timings: dict) -> np.ndarray:
     """Train ``name`` in stage ``train <name>``, timed as ``train_<name>_s``."""
@@ -288,7 +282,7 @@ def _influence_update(
             damping=config.damping,
         )
         report = influence.delta_total(
-            _effective_spec(config), theta, splits.core, Observed(config.t),
+            config.model, theta, splits.core, Observed(config.t),
             request,
         )
         timings[f"{key}_s"] = report.wall_time
@@ -326,14 +320,13 @@ def _seed_block(config: ExperimentConfig, seed: int, params: dict,
                 **ri_refs: str) -> dict:
     """One seed's report block: a checkpoint of every entry of ``params``,
     and the metrics and RI (against ``ri_refs``) of those in ``scored``."""
-    spec = _effective_spec(config)
     method_metrics = {}
     for name, theta in params.items():
         _save_checkpoint(config, name, seed, theta)
         if name in scored:
             with _stage("evaluate"):
                 method_metrics[name] = evaluate_test_window(
-                    spec, theta, test, config.t_prime, config.d_test
+                    config.model, theta, test, config.t_prime, config.d_test
                 )
     return {
         "seed": seed,
@@ -423,7 +416,7 @@ def _save_checkpoint(
     os.makedirs(config.output_dir, exist_ok=True)
     models.save_checkpoint(
         os.path.join(config.output_dir, f"{name}_seed{seed}.ckpt"),
-        _effective_spec(config),
+        config.model,
         params,
     )
 
@@ -479,9 +472,8 @@ def run_online(config: ExperimentConfig) -> dict:
             params[method] = _influence_update(
                 config, splits, dataset, pretrain, include_add, timings, method
             )
-        online = np.flatnonzero(dataset.click_ts < config.t_prime)
         params["retrain_online"] = _train(
-            config, "retrain_online", seed, dataset.subset(online),
+            config, "retrain_online", seed, dataset.window(0, config.t_prime),
             Observed(config.t_prime), splits.valid, timings,
         )
         per_seed.append(_seed_block(
@@ -529,16 +521,15 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     """
     _, splits = _load_splits(config)
     theta = _train_baseline(config, splits, "vanilla", config.seeds[0], {})
-    spec = _effective_spec(config)
     view = Observed(config.t)
     request = influence.InfluenceRequest(
         reversal_indices=reversal_set(splits.core, config.t, config.t_prime),
         damping=config.damping,
     )
-    rhs = influence.build_rhs(spec, theta, splits.core, view, request)
+    rhs = influence.build_rhs(config.model, theta, splits.core, view, request)
     operator = solvers.DampedHessianOperator(
-        spec, theta, splits.core.features, labels_of(splits.core, view),
-        lam=config.damping,
+        config.model, theta, splits.core.features,
+        labels_of(splits.core, view), lam=config.damping,
     )
     summary: dict[str, Any] = {}
     rows = []

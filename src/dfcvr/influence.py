@@ -41,7 +41,7 @@ class InfluenceRequest:
     arrivals: tuple[Dataset, np.ndarray] | None = None
     include_delay: bool = True
     include_add: bool = False
-    solver: str = "sq"
+    solver: str = "cg"
     solver_config: solvers.SolverConfig | None = None
     damping: float = 1e-3
     hvp_batch_size: int = solvers.HVP_BATCH_SIZE

@@ -3,6 +3,7 @@
 Scores are probabilities in [0, 1]; labels are binary. Ties in AUC
 contribute half a concordant pair via midranks. PRAUC is average
 precision with ties broken deterministically by ascending sample index.
+Scores or labels a metric cannot read raise :class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .errors import DataFormatError
 
 RI_DENOM_EPS = 1e-9
 LOG_LOSS_CLIP = 1e-7
@@ -19,15 +22,17 @@ def _validate(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nd
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ValueError("scores and labels must be 1-d arrays of equal length")
+        raise DataFormatError(
+            "scores and labels must be 1-d arrays of equal length"
+        )
     if scores.size == 0:
-        raise ValueError("empty score set")
+        raise DataFormatError("empty score set")
     if not np.all(np.isfinite(scores)):
-        raise ValueError("scores contain non-finite values")
+        raise DataFormatError("scores contain non-finite values")
     if np.any(scores < 0.0) or np.any(scores > 1.0):
-        raise ValueError("scores must lie in [0, 1]")
+        raise DataFormatError("scores must lie in [0, 1]")
     if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+        raise DataFormatError("labels must be 0 or 1")
     return scores, labels
 
 
@@ -47,7 +52,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
+        raise DataFormatError(
+            "AUC needs at least one positive and one negative"
+        )
     ranks = _midranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -58,7 +65,7 @@ def prauc(scores: np.ndarray, labels: np.ndarray) -> float:
     scores, labels = _validate(scores, labels)
     n_pos = int((labels == 1.0).sum())
     if n_pos == 0:
-        raise ValueError("PRAUC needs at least one positive")
+        raise DataFormatError("PRAUC needs at least one positive")
     order = np.lexsort((np.arange(scores.size), -scores))
     sorted_labels = labels[order]
     cum_pos = np.cumsum(sorted_labels)

@@ -8,7 +8,7 @@ single-threaded over float64 arrays; reruns are bit-identical.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,13 @@ from .optim import Adam, epoch_permutation
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings. ``l2_coeff`` overrides the model spec when set."""
+    """Optimizer settings; the L2 penalty is the model spec's ``l2_coeff``."""
 
     batch_size: int = 1024
     learning_rate: float = 1e-3
     max_epochs: int = 30
     early_stop_patience: int = 5
     seed: int = 0
-    l2_coeff: float | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -41,17 +40,16 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.l2_coeff is not None and self.l2_coeff < 0:
-            raise ConfigError("l2_coeff must be non-negative")
 
 
 class TrainingDivergedError(NumericalError):
-    """Non-finite loss during training; carries the epoch and batch index."""
+    """A non-finite loss, parameter or validation prediction in training;
+    carries the epoch and batch index."""
 
     def __init__(self, epoch: int, batch_index: int) -> None:
         super().__init__(
-            f"non-finite training loss at epoch {epoch}, "
-            f"batch {batch_index}; lower the learning rate"
+            f"training diverged at epoch {epoch}, batch {batch_index}: a "
+            "non-finite loss, parameter or prediction; lower the learning rate"
         )
         self.epoch = epoch
         self.batch_index = batch_index
@@ -75,8 +73,6 @@ def train(
     """
     if len(dataset) == 0 or len(valid) == 0:
         raise ConfigError("training and validation sets must be non-empty")
-    if config.l2_coeff is not None:
-        spec = replace(spec, l2_coeff=config.l2_coeff)
 
     x = dataset.features
     y = labels_of(dataset, view)
@@ -105,8 +101,12 @@ def train(
                     raise TrainingDivergedError(epoch, batch_index)
                 adam.step(params, g)
                 loss_sum += loss * rows.size
+            # No later loss checks the epoch's last step.
+            scores = models.predict(spec, params, xv)
+            if not (np.isfinite(params).all() and np.isfinite(scores).all()):
+                raise TrainingDivergedError(epoch, batch_index)
             train_loss = loss_sum / n
-            valid_ll = log_loss(models.predict(spec, params, xv), yv)
+            valid_ll = log_loss(scores, yv)
             log_rows.append((epoch, train_loss, valid_ll))
             if valid_ll < best_ll:
                 best_ll = valid_ll

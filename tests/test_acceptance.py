@@ -8,12 +8,14 @@ at the end of the run.
 """
 
 import copy
+import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from dfcvr import data, harness, influence, metrics, models, solvers
-from dfcvr.training import TrainConfig
+from dfcvr.training import TrainConfig, train
 
 from dense_operator import MatrixOperator
 
@@ -512,3 +514,34 @@ class TestAcceptance:
             f"offline (cg) and online (sq) reruns bit-identical across "
             f"{checked} checkpoints, {elapsed:.1f}s",
         )
+
+
+@pytest.mark.parametrize("fixture_seed", [0, 4])
+def test_default_request_solves_the_scaled_fixture(record_property,
+                                                   fixture_seed):
+    # The library's own defaults (cg, damping 1e-3, SolverConfig()) must
+    # solve the README-scale MLP update; fixture seed 4 is the harder one.
+    config = _scaled_experiment()
+    log = data.generate_synthetic(
+        dataclasses.replace(config.data, seed=fixture_seed))
+    t, t_prime = config.t, config.t_prime
+    splits = data.window_split(log, t, t_prime, config.d_test)
+    theta = train(splits.core, data.Observed(t), config.model,
+                  dataclasses.replace(config.train, seed=fixture_seed),
+                  splits.fit_valid)
+    request = influence.InfluenceRequest(
+        reversal_indices=data.reversal_set(splits.core, t, t_prime),
+        arrivals=data.arrival_set(log, t, t_prime),
+        include_add=True,
+    )
+    assert (request.solver, request.damping, request.solver_config) == (
+        "cg", 1e-3, None)
+    result = influence.delta_total(config.model, theta, splits.core,
+                                   data.Observed(t), request)
+    assert result.converged
+    assert result.residual_rel <= solvers.SOLVERS["cg"]
+    record_property(
+        "detail",
+        f"{result.iterations} cg iterations, residual "
+        f"{result.residual_rel:.1e}, {result.wall_time:.1f}s",
+    )

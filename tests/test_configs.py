@@ -46,7 +46,6 @@ _BAD = [
     ("TrainConfig", "max_epochs", 0, "max_epochs"),
     ("TrainConfig", "early_stop_patience", 0, "early_stop_patience"),
     ("TrainConfig", "seed", -1, "seed"),
-    ("TrainConfig", "l2_coeff", -0.5, "l2_coeff"),
     ("SolverConfig", "tol_rel_residual", -1e-3, "tol_rel_residual"),
     ("SolverConfig", "max_iters", 0, "max_iters"),
     ("SolverConfig", "max_epochs", 0, "max_epochs"),

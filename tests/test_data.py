@@ -36,9 +36,9 @@ def _dataset(clicks, pays, d=3, seed=0):
 
 class TestSampleAndDataset:
     def test_pay_before_click_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFormatError, match="pay_ts precedes"):
             _dataset([100], [50])
-        with pytest.raises(ValueError):  # below the -1 sentinel
+        with pytest.raises(DataFormatError):  # below the -1 sentinel
             _dataset([100], [-5])
 
     def test_missing_pay_is_stored_as_the_sentinel(self):
@@ -62,8 +62,15 @@ class TestSampleAndDataset:
             ds.features[0, 0] = 1.0
 
     def test_non_finite_features_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFormatError, match="non-finite"):
             Dataset(np.array([[np.nan]]), np.array([1]), np.array([-1]))
+
+    def test_window_is_half_open_and_keeps_log_order(self):
+        ds = _dataset([30, 10, 20, 40, 20], [PAY_TS_MISSING] * 5)
+        picked = ds.window(20, 40)
+        np.testing.assert_array_equal(picked.click_ts, [30, 20, 20])
+        np.testing.assert_array_equal(picked.features, ds.features[[0, 2, 4]])
+        assert len(ds.window(40, 40)) == 0
 
 
 def _label(click, pay, view):
@@ -447,6 +454,30 @@ class TestCsvRoundTrip:
         assert parsed[0] is loaded
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("100,50,0.5", "pay_ts 50 precedes click_ts 100"),
+        ("100,-1,1e400", "non-finite feature value"),
+    ])
+    def test_rows_dataset_rejects_go_to_the_row_loop(
+        self, tmp_path, monkeypatch, bad_row, message
+    ):
+        # numpy reads these rows; Dataset rejects the columns it returns.
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"click_ts,pay_ts,f0\r\n5,-1,0.25\r\n{bad_row}\r\n"
+                         .encode())
+        numpy_parse = data._parse_body
+        parsed = []
+
+        def parse_body(fh, d):
+            parsed.append(numpy_parse(fh, d))
+            return parsed[-1]
+
+        monkeypatch.setattr(data, "_parse_body", parse_body)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(str(path))
+        assert parsed == [None]
+        assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_loads_from_a_pipe(self, tmp_path):

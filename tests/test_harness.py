@@ -83,7 +83,7 @@ class TestExperimentConfig:
         config = harness.ExperimentConfig.from_json_dict(raw)
         assert config.model.input_dim == 5
         assert config.methods == ("vanilla", "retrain", "ifdfm")
-        assert config.solver == "sq"
+        assert config.solver == "cg"
 
     def test_unknown_keys_rejected(self):
         raw = _tiny_config().to_json_dict()
@@ -94,7 +94,9 @@ class TestExperimentConfig:
         raw["model"]["depth"] = 3
         with pytest.raises(ConfigError, match="depth"):
             harness.ExperimentConfig.from_json_dict(raw)
+        # The model spec is the one owner of the L2 coefficient.
         for block, key in (("data", "colour"), ("train", "momentum"),
+                           ("train", "l2_coeff"),
                            ("solver_config", "restarts")):
             raw = _tiny_config().to_json_dict()
             raw[block][key] = 1
@@ -156,7 +158,7 @@ _GOLDEN_CONFIGS = (
             ),
             model=models.Mlp(input_dim=5, hidden_dims=(16, 8),
                              l2_coeff=1e-2),
-            train=TrainConfig(l2_coeff=1e-3),
+            train=TrainConfig(seed=2),
             solver="neumann",
             solver_config=solvers.SolverConfig(neumann_scale=0.5),
             output_dir="results",
@@ -167,8 +169,8 @@ _GOLDEN_CONFIGS = (
         '"t_prime": 950400, "d_test": 86400, "model": {"l2_coeff": 0.01, '
         '"input_dim": 5, "kind": "mlp", "hidden_dims": [16, 8]}, '
         '"train": {"batch_size": 1024, "learning_rate": 0.001, '
-        '"max_epochs": 30, "early_stop_patience": 5, "seed": 0, '
-        '"l2_coeff": 0.001}, "methods": ["vanilla", "retrain", "ifdfm"], '
+        '"max_epochs": 30, "early_stop_patience": 5, "seed": 2}, '
+        '"methods": ["vanilla", "retrain", "ifdfm"], '
         '"seeds": [0], "solver": "neumann", "solver_config": '
         '{"tol_rel_residual": 0.0001, "max_iters": 1000, "max_epochs": 5, '
         '"minibatch_size": 512, "learning_rate": 0.01, '
@@ -182,9 +184,9 @@ _GOLDEN_CONFIGS = (
         '"d_test": 86400, "model": {"l2_coeff": 0.0, "input_dim": 4, '
         '"kind": "logreg"}, "train": {"batch_size": 1024, '
         '"learning_rate": 0.001, "max_epochs": 30, '
-        '"early_stop_patience": 5, "seed": 0, "l2_coeff": null}, '
+        '"early_stop_patience": 5, "seed": 0}, '
         '"methods": ["vanilla", "retrain", "ifdfm"], "seeds": [0], '
-        '"solver": "sq", "solver_config": null, "damping": 0.001, '
+        '"solver": "cg", "solver_config": null, "damping": 0.001, '
         '"timing_sizes": [25000, 50000, 100000], "output_dir": null}',
     ),
 )
@@ -659,6 +661,28 @@ class TestCliExitCodes:
         ])
         assert code == 1
         capsys.readouterr()
+
+    def test_train_l2_coeff_in_a_config_is_one(self, tmp_path, capsys):
+        raw = _tiny_config().to_json_dict()
+        raw["train"]["l2_coeff"] = 1e-3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["offline", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dfcvr: error: ")
+        assert "unknown train keys: l2_coeff" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_training_is_two(self, tmp_path, capsys):
+        csv_path = _write_csv(tmp_path)
+        code = cli.main([
+            "train", "--data", csv_path, "--t", str(8 * DAY),
+            "--t-prime", str(11 * DAY), "--d-test", str(DAY),
+            "--model", "logreg", "--l2-coeff", "1e-2",
+            "--learning-rate", "1e300", "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 2
+        assert "training diverged" in capsys.readouterr().err
 
     def test_unconverged_update_is_two(self, tmp_path, capsys):
         csv_path = _write_csv(tmp_path)

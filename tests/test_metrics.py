@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfcvr import metrics, models
+from dfcvr.errors import DataFormatError
 
 
 def _brute_force_auc(scores, labels):
@@ -71,7 +72,7 @@ class TestAuc:
             )
 
     def test_single_class_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFormatError, match="AUC needs"):
             metrics.auc(np.array([0.5, 0.6]), np.array([1.0, 1.0]))
 
     def test_invariant_under_monotone_transform(self):
@@ -137,7 +138,7 @@ class TestPrauc:
             )
 
     def test_no_positive_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFormatError, match="PRAUC needs"):
             metrics.prauc(np.array([0.5, 0.6]), np.array([0.0, 0.0]))
 
     def test_tie_break_is_deterministic_by_index(self):
