@@ -18,15 +18,14 @@ from .data import (
     Dataset,
     Observed,
     SyntheticConfig,
-    arrival_set,
     baseline_view,
     generate_synthetic,
     load_csv,
-    reversal_set,
     save_csv,
     window_split,
 )
-from .errors import ConfigError, DataFormatError, DfcvrError, NumericalError
+from .errors import (ConfigError, DataFormatError, DfcvrError,
+                     NumericalError, writing)
 from .harness import (
     MODEL_DEFAULTS,
     ExperimentConfig,
@@ -222,7 +221,7 @@ def _emit(payload: dict, report_path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if report_path is not None:
-        with open(report_path, "w") as fh:
+        with writing(report_path), open(report_path, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -249,17 +248,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
         solver_config,
         **{k: v for k, v in overrides.items() if v is not None},
     )
-    arrivals = None
-    if args.include_add:
-        arrivals = arrival_set(dataset, args.t, args.t_prime)
-    request = influence.InfluenceRequest(
-        reversal_indices=reversal_set(core, args.t, args.t_prime),
-        arrivals=arrivals,
-        include_delay=True,
-        include_add=args.include_add,
-        solver=args.solver,
-        solver_config=solver_config,
-        damping=args.damping,
+    request = influence.InfluenceRequest.for_window(
+        core, dataset, args.t, args.t_prime, args.include_add,
+        solver=args.solver, solver_config=solver_config, damping=args.damping,
     )
     report = influence.delta_total(spec, params, core, Observed(args.t),
                                    request)

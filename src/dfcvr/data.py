@@ -20,7 +20,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, writing
 
 Timestamp = int
 
@@ -150,6 +150,25 @@ def labels_of(dataset: Dataset, view: LabelView) -> np.ndarray:
     raise TypeError(f"unknown label view: {view!r}")
 
 
+def check_windows(t: Timestamp, t_prime: Timestamp,
+                  d_test: int | None = None) -> None:
+    """Every split's window rules: ``t < t_prime`` and, given ``d_test``,
+    ``d_test > 0`` and a training window ``[0, t)`` longer than ``d_test``
+    and clear of the validation window ``[t_prime - d_test, t_prime)``."""
+    if not t < t_prime:
+        raise ConfigError(f"need t < t_prime, got t={t}, t_prime={t_prime}")
+    if d_test is None:
+        return
+    if d_test <= 0:
+        raise ConfigError("d_test must be positive")
+    if t > t_prime - d_test:
+        raise ConfigError(f"training window [0, {t}) overlaps the validation "
+                          f"window [{t_prime - d_test}, {t_prime})")
+    if t <= d_test:
+        raise ConfigError("training window too short to carve a "
+                          "validation day")
+
+
 def temporal_split(
     dataset: Dataset, t: Timestamp, t_prime: Timestamp, d_test: int
 ) -> tuple[Dataset, Dataset, Dataset]:
@@ -158,13 +177,7 @@ def temporal_split(
     Train is ``[0, t)``, validation is ``[t_prime - d_test, t_prime)``,
     test is ``[t_prime, t_prime + d_test)``.
     """
-    if d_test <= 0:
-        raise ConfigError("d_test must be positive")
-    if t > t_prime - d_test:
-        raise ConfigError(
-            f"training cutoff t={t} overlaps the validation window "
-            f"[{t_prime - d_test}, {t_prime})"
-        )
+    check_windows(t, t_prime, d_test)
     train = dataset.window(0, t)
     valid = dataset.window(t_prime - d_test, t_prime)
     test = dataset.window(t_prime, t_prime + d_test)
@@ -213,8 +226,7 @@ def reversal_set(
     under ``Observed(t_prime)``: the fake negatives whose labels reverse.
     Returns a sorted int64 index array into ``dataset``.
     """
-    if t >= t_prime:
-        raise ConfigError(f"need t < t_prime, got t={t}, t_prime={t_prime}")
+    check_windows(t, t_prime)
     mask = (
         (dataset.click_ts < t)
         & (dataset.pay_ts != PAY_TS_MISSING)
@@ -232,8 +244,7 @@ def arrival_set(
     Returns the arrived samples and their ``Observed(t_prime)`` labels. The
     result may be empty when no clicks land in the window.
     """
-    if t >= t_prime:
-        raise ConfigError(f"need t < t_prime, got t={t}, t_prime={t_prime}")
+    check_windows(t, t_prime)
     arrived = dataset.window(t, t_prime)
     return arrived, labels_of(arrived, Observed(t_prime))
 
@@ -338,7 +349,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
     """
     d = dataset.feature_dim
     row = "%d,%d," + ",".join(["%r"] * d) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", newline="") as fh:
         header = ["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)]
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(dataset), _SAVE_ROWS):

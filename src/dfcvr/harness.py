@@ -33,15 +33,15 @@ from .data import (
     Oracle,
     SyntheticConfig,
     WindowSplit,
-    arrival_set,
     baseline_view,
+    check_windows,
     generate_synthetic,
     labels_of,
     load_csv,
     reversal_set,
     window_split,
 )
-from .errors import ConfigError, DfcvrError
+from .errors import ConfigError, DfcvrError, writing
 from .training import TrainConfig, train
 
 SCHEMA_VERSION = 2
@@ -76,19 +76,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.data, (SyntheticConfig, str)):
             raise ConfigError("data must be synthetic settings or a CSV path")
-        if not self.t < self.t_prime:
-            raise ConfigError("need t < t_prime")
-        if self.d_test <= 0:
-            raise ConfigError("d_test must be positive")
-        if self.t > self.t_prime - self.d_test:
-            raise ConfigError(
-                "validation window [t_prime - d_test, t_prime) overlaps "
-                "the training window"
-            )
-        if self.t <= self.d_test:
-            raise ConfigError(
-                "training window too short to carve a validation day"
-            )
+        check_windows(self.t, self.t_prime, self.d_test)
         if not self.methods:
             raise ConfigError("methods must be non-empty")
         for m in self.methods:
@@ -268,17 +256,9 @@ def _influence_update(
     if method is not None:
         stage, key = f"{stage} {method}", f"{key}_{method}"
     with _stage(stage):
-        arrivals = None
-        if include_add:
-            arrivals = arrival_set(dataset, config.t, config.t_prime)
-        request = influence.InfluenceRequest(
-            reversal_indices=reversal_set(splits.core, config.t,
-                                          config.t_prime),
-            arrivals=arrivals,
-            include_delay=True,
-            include_add=include_add,
-            solver=config.solver,
-            solver_config=config.solver_config,
+        request = influence.InfluenceRequest.for_window(
+            splits.core, dataset, config.t, config.t_prime, include_add,
+            solver=config.solver, solver_config=config.solver_config,
             damping=config.damping,
         )
         report = influence.delta_total(
@@ -395,13 +375,12 @@ def _finish(config: ExperimentConfig, protocol: str, body: dict,
         **body,
     }
     if config.output_dir is not None:
-        os.makedirs(config.output_dir, exist_ok=True)
-        path = os.path.join(config.output_dir, f"{protocol}_report.json")
-        with open(path, "w") as fh:
+        path = _output_path(config, f"{protocol}_report.json")
+        with writing(path), open(path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        path = os.path.join(config.output_dir, csv_name)
-        with open(path, "w", newline="") as fh:
+        path = _output_path(config, csv_name)
+        with writing(path), open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=csv_fields)
             writer.writeheader()
             writer.writerows(rows)
@@ -411,14 +390,16 @@ def _finish(config: ExperimentConfig, protocol: str, body: dict,
 def _save_checkpoint(
     config: ExperimentConfig, name: str, seed: int, params: np.ndarray
 ) -> None:
-    if config.output_dir is None:
-        return
-    os.makedirs(config.output_dir, exist_ok=True)
-    models.save_checkpoint(
-        os.path.join(config.output_dir, f"{name}_seed{seed}.ckpt"),
-        config.model,
-        params,
-    )
+    if config.output_dir is not None:
+        models.save_checkpoint(_output_path(config, f"{name}_seed{seed}.ckpt"),
+                               config.model, params)
+
+
+def _output_path(config: ExperimentConfig, name: str) -> str:
+    """``name`` in ``config.output_dir``, which is made if missing."""
+    with writing(config.output_dir):
+        os.makedirs(config.output_dir, exist_ok=True)
+    return os.path.join(config.output_dir, name)
 
 
 def run_offline(config: ExperimentConfig) -> dict:

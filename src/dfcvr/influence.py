@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, solvers
-from .data import Dataset, LabelView, labels_of
+from .data import Dataset, LabelView, arrival_set, labels_of, reversal_set
 from .errors import ConfigError, NumericalError
 
 
@@ -53,6 +53,17 @@ class InfluenceRequest:
             raise ConfigError("damping must be non-negative")
         if self.hvp_batch_size < 1:
             raise ConfigError("hvp_batch_size must be positive")
+
+    @classmethod
+    def for_window(cls, core: Dataset, log: Dataset, t: int, t_prime: int,
+                   include_add: bool, **solve) -> "InfluenceRequest":
+        """The correction of ``core`` from ``Observed(t)`` to
+        ``Observed(t_prime)``: its reversals, and if ``include_add`` the
+        clicks of ``log`` arriving in between. ``solve`` sets the solver
+        fields."""
+        return cls(reversal_set(core, t, t_prime),
+                   arrival_set(log, t, t_prime) if include_add else None,
+                   include_add=include_add, **solve)
 
 
 @dataclass

@@ -8,8 +8,9 @@ that repeated HVPs at a frozen parameter vector skip the forward pass.
 Gauss-Newton products, which updates solve with, read a cache of the
 logit Jacobian's layer factors instead: one matmul per layer each way.
 
-Logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and probabilities
-clipped to ``[PROB_CLIP, 1 - PROB_CLIP]`` before the loss; derivatives are
+Predictions, training and both caches read one forward sweep and one
+clamp rule: logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and
+probabilities clipped to ``[PROB_CLIP, 1 - PROB_CLIP]``; derivatives are
 zero where a clamp binds, so gradients stay consistent with the coded
 loss. The L2 penalty ``(l2_coeff / 2) * sum(W**2)`` covers weight matrices
 only, never biases.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, writing
 
 LOGIT_CLAMP = 30.0
 PROB_CLIP = 1e-7
@@ -116,17 +117,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return pack_params(layers)
 
 
-def _forward_logits(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    layers = unpack_params(spec, params)
-    z = x
-    for w, b in layers[:-1]:
-        z = np.maximum(z @ w.T + b, 0.0)
-    w, b = layers[-1]
-    return (z @ w.T + b)[:, 0]
-
-
 def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Conversion probabilities in [PROB_CLIP, 1 - PROB_CLIP].
 
@@ -135,16 +125,7 @@ def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != spec.input_dim:
-        raise ConfigError(
-            f"feature dim {batch.shape[1]} does not match model input "
-            f"dim {spec.input_dim}"
-        )
-    logits = np.clip(
-        _forward_logits(spec, params, batch), -LOGIT_CLAMP, LOGIT_CLAMP
-    )
-    probs = np.clip(1.0 / (1.0 + np.exp(-logits)), PROB_CLIP, 1.0 - PROB_CLIP)
+    probs, _ = _link(_sweep(spec, params, x[None, :] if single else x)[3])
     return probs[0] if single else probs
 
 
@@ -186,18 +167,14 @@ class GgnFactors:
     h: np.ndarray
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-             y: np.ndarray):
-    """The forward pass and the clamp/h rule of :func:`build_state` and
-    :func:`build_ggn_factors`: layers, inputs, masks, g, h and losses."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """The forward sweep of :func:`predict`, :func:`build_state` and
+    :func:`build_ggn_factors`: the layers, each layer's input, the ReLU
+    masks and the logits."""
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ConfigError("feature batch shape does not match the model")
-    if y.shape != (x.shape[0],):
-        raise ConfigError("label vector length does not match the batch")
+        raise ConfigError(f"feature batch of shape {x.shape} does not "
+                          f"match model input dim {spec.input_dim}")
     layers = unpack_params(spec, params)
-
     inputs = [x]
     masks = []
     z = x
@@ -205,21 +182,35 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         a = z @ w.T
         a += b
         mask = a > 0.0
-        # A NaN pre-activation propagates, as it does in predict.
+        # A NaN pre-activation propagates through the ReLU.
         z = np.maximum(a, 0.0, out=a)
         inputs.append(z)
         masks.append(mask)
     w, b = layers[-1]
-    logits = (z @ w.T + b)[:, 0]
+    return layers, inputs, masks, (z @ w.T + b)[:, 0]
 
-    clamp_mask = np.abs(logits) < LOGIT_CLAMP
-    logits_c = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-    f_raw = 1.0 / (1.0 + np.exp(-logits_c))
-    clip_mask = (f_raw > PROB_CLIP) & (f_raw < 1.0 - PROB_CLIP)
-    f = np.clip(f_raw, PROB_CLIP, 1.0 - PROB_CLIP)
 
+def _link(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamp rule: clipped probabilities of the clamped logits, and
+    the rows where neither clamp binds."""
+    f_raw = 1.0 / (1.0 + np.exp(-np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)))
+    smooth = ((np.abs(logits) < LOGIT_CLAMP) & (f_raw > PROB_CLIP)
+              & (f_raw < 1.0 - PROB_CLIP))
+    return np.clip(f_raw, PROB_CLIP, 1.0 - PROB_CLIP), smooth
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+             y: np.ndarray):
+    """The sweep and clamp rule on a labelled batch, with the loss and its
+    first two derivatives in the logit: layers, inputs, masks, g, h and
+    losses."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    layers, inputs, masks, logits = _sweep(spec, params, x)
+    if y.shape != logits.shape:
+        raise ConfigError("label vector length does not match the batch")
+    f, smooth = _link(logits)
     losses = -(y * np.log(f) + (1.0 - y) * np.log1p(-f))
-    smooth = clamp_mask & clip_mask
     # Where a clamp binds the coded loss is flat in the logit.
     g = np.where(smooth, f - y, 0.0)
     h = np.where(smooth, f * (1.0 - f), 0.0)
@@ -443,7 +434,7 @@ def save_checkpoint(path: str, spec: ModelSpec, params: np.ndarray) -> None:
         raise ConfigError("parameter vector does not match the model spec")
     header = dict(_spec_header(spec), num_params=int(num_params(spec)))
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

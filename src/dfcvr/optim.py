@@ -17,6 +17,12 @@ def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).permutation(n)
 
 
+# Adam's moment decay rates and denominator guard; no caller tunes them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Adam with bias-corrected moment estimates.
 
@@ -25,22 +31,10 @@ class Adam:
     gradient sequence.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, dim: int, learning_rate: float) -> None:
         if learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -49,16 +43,16 @@ class Adam:
         self.t += 1
         # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g,
         # in place but with the same operations in the same order.
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        g2 = (1.0 - self.beta2) * grad
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * grad
+        self.v *= BETA2
+        g2 = (1.0 - BETA2) * grad
         g2 *= grad
         self.v += g2
-        step = self.m / (1.0 - self.beta1**self.t)
+        step = self.m / (1.0 - BETA1**self.t)
         step *= self.learning_rate
-        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=g2)
+        denom = np.divide(self.v, 1.0 - BETA2**self.t, out=g2)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         step /= denom
         params -= step

@@ -7,6 +7,7 @@ single-threaded over float64 arrays; reruns are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import models
 from .data import Dataset, LabelView, labels_of
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, writing
 from .metrics import log_loss
 from .optim import Adam, epoch_permutation
 
@@ -85,10 +86,9 @@ def train(
     best_params = params.copy()
     best_ll = log_loss(models.predict(spec, params, xv), yv)
     epochs_since_best = 0
-    log_rows: list[tuple[int, float, float]] = []
 
     n = len(dataset)
-    try:
+    with _metrics_log(metrics_log_path) as log_row:
         for epoch in range(1, config.max_epochs + 1):
             perm = epoch_permutation(config.seed, epoch, n)
             loss_sum = 0.0
@@ -107,7 +107,7 @@ def train(
                 raise TrainingDivergedError(epoch, batch_index)
             train_loss = loss_sum / n
             valid_ll = log_loss(scores, yv)
-            log_rows.append((epoch, train_loss, valid_ll))
+            log_row((epoch, train_loss, valid_ll))
             if valid_ll < best_ll:
                 best_ll = valid_ll
                 best_params = params.copy()
@@ -116,10 +116,17 @@ def train(
                 epochs_since_best += 1
                 if epochs_since_best >= config.early_stop_patience:
                     break
-    finally:
-        if metrics_log_path is not None:
-            with open(metrics_log_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "train_loss", "valid_log_loss"])
-                writer.writerows(log_rows)
     return best_params
+
+
+@contextlib.contextmanager
+def _metrics_log(path: str | None):
+    """Per-epoch CSV rows to ``path``, or nowhere without one; opened
+    before the first epoch, so that a bad path fails before training."""
+    if path is None:
+        yield lambda row: None
+        return
+    with writing(path), open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "train_loss", "valid_log_loss"])
+        yield writer.writerow

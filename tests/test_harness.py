@@ -553,6 +553,15 @@ def _bad_input_argv(case, tmp_path):
                    "d_test": DAY,
                    "model": {"input_dim": 4, "hidden_dims": hidden_dims}},
                   fh)
+    # A config that runs, for the unwritable --out-dir cases.
+    logreg_config = str(tmp_path / "logreg.json")
+    with open(logreg_config, "w") as fh:
+        json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
+                   "d_test": DAY, "model": {"kind": "logreg", "input_dim": 4},
+                   "train": {"max_epochs": 1}, "methods": ["vanilla"]}, fh)
+    for name in ("vanilla_seed0.ckpt", "offline_report.json"):
+        (tmp_path / name / name).mkdir(parents=True)
+    missing = tmp_path / "missing"
     windows = ["--t", str(8 * DAY), "--t-prime", str(11 * DAY)]
     train = ["train", "--data", csv_path, *windows, "--d-test", str(DAY),
              "--out", str(tmp_path / "x.ckpt")]
@@ -598,6 +607,26 @@ def _bad_input_argv(case, tmp_path):
         "evaluate_one_class_window": [
             "evaluate", "--checkpoint", ckpt, "--data", str(one_class_csv),
             "--t-prime", "600", "--d-test", "300"],
+        "generate_out_in_missing_dir": [
+            "generate", "--n", "10", "--feature-dim", "2", "--target-cvr",
+            "0.2", "--delay-mean-tau", "10", "--horizon", "100",
+            "--out", str(missing / "x.csv")],
+        "train_out_in_missing_dir": [*train[:-1], str(missing / "x.ckpt")],
+        "train_metrics_log_in_missing_dir": [
+            *train, "--metrics-log", str(missing / "log.csv")],
+        "update_out_in_missing_dir": [*update[:-1], str(missing / "u.ckpt")],
+        "update_report_in_missing_dir": [
+            *update, "--report", str(missing / "u.json")],
+        "evaluate_report_in_missing_dir": [
+            *evaluate, "--report", str(missing / "e.json")],
+        "offline_out_dir_is_a_file": [
+            "offline", "--config", logreg_config, "--out-dir", csv_path],
+        "offline_checkpoint_is_a_directory": [
+            "offline", "--config", logreg_config,
+            "--out-dir", str(tmp_path / "vanilla_seed0.ckpt")],
+        "offline_report_is_a_directory": [
+            "offline", "--config", logreg_config,
+            "--out-dir", str(tmp_path / "offline_report.json")],
     }[case]
 
 
@@ -614,7 +643,11 @@ class TestCliExitCodes:
         "offline_mlp_without_widths_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
         "train_mlp_without_widths", "train_csv_not_utf8",
-        "evaluate_one_class_window",
+        "evaluate_one_class_window", "generate_out_in_missing_dir",
+        "train_out_in_missing_dir", "train_metrics_log_in_missing_dir",
+        "update_out_in_missing_dir", "update_report_in_missing_dir",
+        "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
+        "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -625,6 +658,8 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("dfcvr: error")
         assert "Traceback" not in err
+        if "missing_dir" in case or "_is_a_" in case:
+            assert ": cannot write: " in err
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"

@@ -3,7 +3,9 @@ allocating versions.
 
 The ``_oracle_*`` functions and ``_OracleAdam`` are ``build_state``,
 ``loss_and_grad``, ``bce_grad_sum``, ``hvp_from_state`` and ``Adam.step``
-as they were before the sweeps wrote into preallocated buffers. The new
+as they were before the sweeps wrote into preallocated buffers; the
+probabilities inside ``_oracle_forward`` are what ``predict`` must return,
+since it reads the same sweep and clamp rule as ``build_state``. The new
 code keeps every floating-point operation and its order, so each output
 must equal the reference byte for byte, not within a tolerance. The one
 intended difference, a NaN hidden pre-activation, has its own test.
@@ -22,7 +24,7 @@ from dfcvr.models import LOGIT_CLAMP, PROB_CLIP, BatchState, Mlp
 from dfcvr.optim import Adam
 
 
-def _oracle_build_state(spec, params, x, y):
+def _oracle_forward(spec, params, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     layers = models.unpack_params(spec, params)
@@ -49,7 +51,12 @@ def _oracle_build_state(spec, params, x, y):
     smooth = clamp_mask & clip_mask
     g = np.where(smooth, f - y, 0.0)
     h = np.where(smooth, f * (1.0 - f), 0.0)
+    return layers, inputs, masks, f, g, h, losses
 
+
+def _oracle_build_state(spec, params, x, y):
+    layers, inputs, masks, _, g, h, losses = _oracle_forward(spec, params,
+                                                             x, y)
     deltas = [np.empty(0)] * len(layers)
     deltas[-1] = g[:, None]
     for l in range(len(layers) - 1, 0, -1):
@@ -126,12 +133,11 @@ def _oracle_hvp_from_state(spec, params, state, v, rows=None):
 
 
 class _OracleAdam:
-    def __init__(self, dim, learning_rate, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, dim, learning_rate):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.t = 0
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
@@ -214,6 +220,12 @@ def test_sweeps_are_bit_identical(case):
     _same(models.hvp_from_state(spec, theta, state, v, rows=rows),
           _oracle_hvp_from_state(spec, theta, state, v, rows=rows))
 
+    _same(models.predict(spec, theta, x),
+          _oracle_forward(spec, theta, x, y)[3])
+    # A single vector is a one-row batch, which BLAS may sum differently.
+    _same(models.predict(spec, theta, x[0]),
+          _oracle_forward(spec, theta, x[:1], y[:1])[3][0])
+
 
 @pytest.mark.parametrize("rows", [
     None, slice(0, 8192), slice(8192, 10000),
@@ -233,6 +245,8 @@ def test_large_batches_are_bit_identical(rows):
           _oracle_loss_and_grad(spec, theta, x, y)[1])
     _same(models.hvp_from_state(spec, theta, state, v, rows=rows),
           _oracle_hvp_from_state(spec, theta, state, v, rows=rows))
+    _same(models.predict(spec, theta, x),
+          _oracle_forward(spec, theta, x, y)[3])
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,16 +254,14 @@ def test_large_batches_are_bit_identical(rows):
     dim=st.integers(1, 70),
     steps=st.integers(1, 12),
     learning_rate=st.sampled_from([1e-3, 0.02, 0.5]),
-    betas=st.sampled_from([(0.9, 0.999), (0.0, 0.0), (0.5, 0.9)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_adam_sequences_are_bit_identical(dim, steps, learning_rate, betas,
-                                          seed):
+def test_adam_sequences_are_bit_identical(dim, steps, learning_rate, seed):
     rng = np.random.default_rng(seed)
     params = rng.standard_normal(dim)
     want = params.copy()
-    adam = Adam(dim, learning_rate, *betas)
-    oracle = _OracleAdam(dim, learning_rate, *betas)
+    adam = Adam(dim, learning_rate)
+    oracle = _OracleAdam(dim, learning_rate)
     for _ in range(steps):
         grad = rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 3)
         grad[rng.random(dim) < 0.2] = 0.0

