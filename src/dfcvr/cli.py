@@ -91,7 +91,8 @@ def _build_parser() -> _Parser:
     tr.add_argument("--learning-rate", type=float,
                     default=TrainConfig.learning_rate)
     tr.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    tr.add_argument("--patience", type=int,
+    tr.add_argument("--patience", type=int, dest="early_stop_patience",
+                    metavar="PATIENCE",
                     default=TrainConfig.early_stop_patience)
     tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--out", required=True, help="output checkpoint path")
@@ -113,14 +114,18 @@ def _build_parser() -> _Parser:
                     default=influence.InfluenceRequest.solver)
     up.add_argument("--damping", type=float,
                     default=influence.InfluenceRequest.damping)
-    up.add_argument("--tol", type=float, default=None,
-                    help="relative-residual tolerance")
-    up.add_argument("--solver-max-iters", type=int, default=None)
-    up.add_argument("--solver-max-epochs", type=int, default=None)
-    up.add_argument("--solver-minibatch", type=int, default=None)
-    up.add_argument("--solver-learning-rate", type=float, default=None)
-    up.add_argument("--neumann-terms", type=int, default=None)
-    up.add_argument("--neumann-scale", type=float, default=None)
+    # Each solver flag is stored under the SolverConfig field it sets.
+    for flag, name, kind, text in (
+        ("--tol", "tol_rel_residual", float, "relative-residual tolerance"),
+        ("--solver-max-iters", "max_iters", int, None),
+        ("--solver-max-epochs", "max_epochs", int, None),
+        ("--solver-minibatch", "minibatch_size", int, None),
+        ("--solver-learning-rate", "learning_rate", float, None),
+        ("--neumann-terms", "neumann_terms", int, None),
+        ("--neumann-scale", "neumann_scale", float, None),
+    ):
+        up.add_argument(flag, dest=name, type=kind, default=None, help=text,
+                        metavar=flag[2:].replace("-", "_").upper())
     up.add_argument("--out", required=True,
                     help="output checkpoint path for updated parameters")
     up.add_argument("--report", default=None,
@@ -164,11 +169,15 @@ def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
         raise ConfigError(f"bad {what} list: {raw!r}") from None
 
 
+def _flags(settings: type, args: argparse.Namespace) -> dict:
+    """The flags stored under the fields of the ``settings`` class, except
+    those left unset (None)."""
+    return {f.name: getattr(args, f.name) for f in fields(settings)
+            if getattr(args, f.name, None) is not None}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    # The generate flags are named after the SyntheticConfig fields.
-    config = SyntheticConfig(
-        **{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)}
-    )
+    config = SyntheticConfig(**_flags(SyntheticConfig, args))
     save_csv(generate_synthetic(config), args.out)
     print(f"wrote {args.n} samples to {args.out}")
     return 0
@@ -182,18 +191,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "hidden_dims": _parse_int_list(args.hidden_dims, "hidden-dims"),
         "l2_coeff": args.l2_coeff,
     })
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        early_stop_patience=args.patience,
-        seed=args.seed,
-    )
     params = train(
         splits.core,
         baseline_view(args.method, args.t, args.t_prime),
         spec,
-        config,
+        TrainConfig(**_flags(TrainConfig, args)),
         splits.fit_valid,
         metrics_log_path=args.metrics_log,
     )
@@ -234,20 +236,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if len(core) == 0:
         raise ConfigError("no samples before train-end")
 
-    solver_config = solvers.default_solver_config(args.solver)
-    overrides = {
-        "tol_rel_residual": args.tol,
-        "max_iters": args.solver_max_iters,
-        "max_epochs": args.solver_max_epochs,
-        "minibatch_size": args.solver_minibatch,
-        "learning_rate": args.solver_learning_rate,
-        "neumann_terms": args.neumann_terms,
-        "neumann_scale": args.neumann_scale,
-    }
-    solver_config = replace(
-        solver_config,
-        **{k: v for k, v in overrides.items() if v is not None},
-    )
+    solver_config = replace(solvers.default_solver_config(args.solver),
+                            **_flags(solvers.SolverConfig, args))
     request = influence.InfluenceRequest.for_window(
         core, dataset, args.t, args.t_prime, args.include_add,
         solver=args.solver, solver_config=solver_config, damping=args.damping,

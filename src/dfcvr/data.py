@@ -20,7 +20,8 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericalError, writing
+from .errors import (ConfigError, DataFormatError, NumericalError, require,
+                     writing)
 
 Timestamp = int
 
@@ -159,8 +160,7 @@ def check_windows(t: Timestamp, t_prime: Timestamp,
         raise ConfigError(f"need t < t_prime, got t={t}, t_prime={t_prime}")
     if d_test is None:
         return
-    if d_test <= 0:
-        raise ConfigError("d_test must be positive")
+    require("positive", d_test=d_test)
     if t > t_prime - d_test:
         raise ConfigError(f"training window [0, {t}) overlaps the validation "
                           f"window [{t_prime - d_test}, {t_prime})")
@@ -267,18 +267,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ConfigError("n must be positive")
-        if self.feature_dim <= 0:
-            raise ConfigError("feature_dim must be positive")
-        if not 0.0 < self.target_cvr < 1.0:
-            raise ConfigError("target_cvr must lie strictly in (0, 1)")
-        if self.delay_mean_tau <= 0:
-            raise ConfigError("delay_mean_tau must be positive")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        require("positive", n=self.n, feature_dim=self.feature_dim,
+                delay_mean_tau=self.delay_mean_tau, horizon=self.horizon)
+        require("in (0, 1)", target_cvr=self.target_cvr)
+        require("finite", drift_angle_per_day=self.drift_angle_per_day)
+        require("non-negative", seed=self.seed)
 
 
 def _rng(seed: int) -> np.random.Generator:

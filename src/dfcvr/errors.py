@@ -5,6 +5,7 @@ exit with 1, numerical failures with 2.
 """
 
 import contextlib
+import math
 
 
 class DfcvrError(Exception):
@@ -13,6 +14,30 @@ class DfcvrError(Exception):
 
 class ConfigError(DfcvrError):
     """Invalid configuration value or CLI usage."""
+
+
+# The ranges a setting may be required to lie in.
+_RULES = {
+    "finite": lambda v: True,
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def require(rule: str, **settings) -> None:
+    """Raise a ConfigError for the first setting that is not a finite
+    number satisfying ``rule``, a key of ``_RULES``.
+
+    A tuple setting is checked element by element; integers are finite
+    at any size, and a positive one is at least 1.
+    """
+    ok = _RULES[rule]
+    what = "finite" if rule == "finite" else f"finite and {rule}"
+    for name, value in settings.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if not ((isinstance(v, int) or math.isfinite(v)) and ok(v)):
+                raise ConfigError(f"{name} must be {what}, got {v}")
 
 
 class DataFormatError(DfcvrError):

@@ -38,10 +38,9 @@ from .data import (
     generate_synthetic,
     labels_of,
     load_csv,
-    reversal_set,
     window_split,
 )
-from .errors import ConfigError, DfcvrError, writing
+from .errors import ConfigError, DfcvrError, require, writing
 from .training import TrainConfig, train
 
 SCHEMA_VERSION = 2
@@ -84,16 +83,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}"
                 )
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        if any(seed < 0 for seed in self.seeds):
-            raise ConfigError("seeds must be non-negative")
-        if self.solver not in solvers.SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.damping < 0:
-            raise ConfigError("damping must be non-negative")
-        if not self.timing_sizes or any(s <= 0 for s in self.timing_sizes):
-            raise ConfigError("timing_sizes must be positive")
+        for name in ("seeds", "timing_sizes"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
+        require("non-negative", seeds=self.seeds)
+        require("positive", timing_sizes=self.timing_sizes)
+        solvers.default_solver_config(self.solver)
+        solvers.check_damping(self.damping)
 
     def to_json_dict(self) -> dict:
         out = _to_json(self)
@@ -500,11 +496,11 @@ def compare_solvers(config: ExperimentConfig) -> dict:
     ``solver_config``. Solver failures are recorded per solver instead of
     aborting the comparison.
     """
-    _, splits = _load_splits(config)
+    dataset, splits = _load_splits(config)
     theta = _train_baseline(config, splits, "vanilla", config.seeds[0], {})
     view = Observed(config.t)
-    request = influence.InfluenceRequest(
-        reversal_indices=reversal_set(splits.core, config.t, config.t_prime),
+    request = influence.InfluenceRequest.for_window(
+        splits.core, dataset, config.t, config.t_prime, include_add=False,
         damping=config.damping,
     )
     rhs = influence.build_rhs(config.model, theta, splits.core, view, request)

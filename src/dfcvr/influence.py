@@ -47,12 +47,8 @@ class InfluenceRequest:
     hvp_batch_size: int = solvers.HVP_BATCH_SIZE
 
     def __post_init__(self) -> None:
-        if self.solver not in solvers.SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.damping < 0:
-            raise ConfigError("damping must be non-negative")
-        if self.hvp_batch_size < 1:
-            raise ConfigError("hvp_batch_size must be positive")
+        solvers.default_solver_config(self.solver)
+        solvers.check_damping(self.damping, self.hvp_batch_size)
 
     @classmethod
     def for_window(cls, core: Dataset, log: Dataset, t: int, t_prime: int,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, writing
+from .errors import ConfigError, DataFormatError, require, writing
 
 LOGIT_CLAMP = 30.0
 PROB_CLIP = 1e-7
@@ -42,16 +42,9 @@ class Mlp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ConfigError(
-                f"model widths must be positive, got input_dim "
-                f"{self.input_dim} and hidden_dims {self.hidden_dims}"
-            )
-        if not (np.isfinite(self.l2_coeff) and self.l2_coeff >= 0):
-            raise ConfigError(
-                "l2_coeff must be finite and non-negative, got "
-                f"{self.l2_coeff}"
-            )
+        require("positive", input_dim=self.input_dim,
+                hidden_dims=self.hidden_dims)
+        require("non-negative", l2_coeff=self.l2_coeff)
 
 
 ModelSpec = Mlp

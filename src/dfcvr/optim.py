@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require
 
 
 def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -32,8 +32,7 @@ class Adam:
     """
 
     def __init__(self, dim: int, learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        require("positive", learning_rate=learning_rate)
         self.learning_rate = learning_rate
         self.t = 0
         self.m = np.zeros(dim)

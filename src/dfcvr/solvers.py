@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require
 from .optim import Adam, epoch_permutation
 
 
@@ -41,18 +41,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol_rel_residual < 0:
-            raise ConfigError("tol_rel_residual must be non-negative")
-        for name in ("max_iters", "max_epochs", "minibatch_size",
-                     "neumann_terms"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.neumann_scale is not None and self.neumann_scale <= 0:
-            raise ConfigError("neumann_scale must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        require("non-negative", tol_rel_residual=self.tol_rel_residual,
+                seed=self.seed)
+        require("positive", max_iters=self.max_iters,
+                max_epochs=self.max_epochs, minibatch_size=self.minibatch_size,
+                learning_rate=self.learning_rate,
+                neumann_terms=self.neumann_terms)
+        if self.neumann_scale is not None:
+            require("positive", neumann_scale=self.neumann_scale)
 
 
 # The solver registry: every solver kind and its default relative-residual
@@ -66,10 +62,18 @@ HVP_BATCH_SIZE = 8192
 
 
 def default_solver_config(kind: str) -> SolverConfig:
-    """Shared defaults with ``kind``'s tolerance; rejects unknown kinds."""
+    """Shared defaults with ``kind``'s tolerance; the one place that
+    rejects an unknown solver kind."""
     if kind not in SOLVERS:
         raise ConfigError(f"unknown solver kind {kind!r}")
     return SolverConfig(tol_rel_residual=SOLVERS[kind])
+
+
+def check_damping(lam: float, hvp_batch_size: int = HVP_BATCH_SIZE) -> None:
+    """The ranges of a :class:`DampedHessianOperator`'s settings, also
+    checked by the settings that hold them before an operator exists."""
+    require("non-negative", damping=lam)
+    require("positive", hvp_batch_size=hvp_batch_size)
 
 
 @dataclass
@@ -129,10 +133,7 @@ class DampedHessianOperator:
         lam: float,
         hvp_batch_size: int = HVP_BATCH_SIZE,
     ) -> None:
-        if lam < 0:
-            raise ConfigError("damping lam must be non-negative")
-        if hvp_batch_size <= 0:
-            raise ConfigError("hvp_batch_size must be positive")
+        check_damping(lam, hvp_batch_size)
         self.spec = spec
         self.lam = lam
         self.hvp_batch_size = hvp_batch_size

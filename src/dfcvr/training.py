@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models
 from .data import Dataset, LabelView, labels_of
-from .errors import ConfigError, NumericalError, writing
+from .errors import ConfigError, NumericalError, require, writing
 from .metrics import log_loss
 from .optim import Adam, epoch_permutation
 
@@ -31,16 +31,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ConfigError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.max_epochs <= 0:
-            raise ConfigError("max_epochs must be positive")
-        if self.early_stop_patience <= 0:
-            raise ConfigError("early_stop_patience must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        require("positive", batch_size=self.batch_size,
+                learning_rate=self.learning_rate, max_epochs=self.max_epochs,
+                early_stop_patience=self.early_stop_patience)
+        require("non-negative", seed=self.seed)
 
 
 class TrainingDivergedError(NumericalError):

@@ -39,20 +39,33 @@ _BAD = [
     ("SyntheticConfig", "target_cvr", 0.0, "target_cvr"),
     ("SyntheticConfig", "target_cvr", 1.0, "target_cvr"),
     ("SyntheticConfig", "delay_mean_tau", 0.0, "delay_mean_tau"),
+    ("SyntheticConfig", "delay_mean_tau", np.nan, "delay_mean_tau"),
+    ("SyntheticConfig", "delay_mean_tau", np.inf, "delay_mean_tau"),
     ("SyntheticConfig", "horizon", 0, "horizon"),
     ("SyntheticConfig", "seed", -1, "seed"),
+    ("SyntheticConfig", "drift_angle_per_day", np.nan, "drift_angle"),
+    ("SyntheticConfig", "drift_angle_per_day", np.inf, "drift_angle"),
+    ("SyntheticConfig", "drift_angle_per_day", -np.inf, "drift_angle"),
     ("TrainConfig", "batch_size", 0, "batch_size"),
     ("TrainConfig", "learning_rate", 0.0, "learning_rate"),
+    ("TrainConfig", "learning_rate", np.nan, "learning_rate"),
+    ("TrainConfig", "learning_rate", np.inf, "learning_rate"),
     ("TrainConfig", "max_epochs", 0, "max_epochs"),
     ("TrainConfig", "early_stop_patience", 0, "early_stop_patience"),
     ("TrainConfig", "seed", -1, "seed"),
     ("SolverConfig", "tol_rel_residual", -1e-3, "tol_rel_residual"),
+    ("SolverConfig", "tol_rel_residual", np.nan, "tol_rel_residual"),
+    ("SolverConfig", "tol_rel_residual", np.inf, "tol_rel_residual"),
     ("SolverConfig", "max_iters", 0, "max_iters"),
     ("SolverConfig", "max_epochs", 0, "max_epochs"),
     ("SolverConfig", "minibatch_size", 0, "minibatch_size"),
     ("SolverConfig", "learning_rate", 0.0, "learning_rate"),
+    ("SolverConfig", "learning_rate", np.nan, "learning_rate"),
+    ("SolverConfig", "learning_rate", np.inf, "learning_rate"),
     ("SolverConfig", "neumann_terms", 0, "neumann_terms"),
     ("SolverConfig", "neumann_scale", 0.0, "neumann_scale"),
+    ("SolverConfig", "neumann_scale", np.nan, "neumann_scale"),
+    ("SolverConfig", "neumann_scale", np.inf, "neumann_scale"),
     ("SolverConfig", "seed", -1, "seed"),
     ("ExperimentConfig", "data", 3, "data must"),
     ("ExperimentConfig", "t", 11 * DAY, "t < t_prime"),
@@ -65,10 +78,14 @@ _BAD = [
     ("ExperimentConfig", "seeds", (-1,), "seeds"),
     ("ExperimentConfig", "solver", "gmres", "solver"),
     ("ExperimentConfig", "damping", -1.0, "damping"),
+    ("ExperimentConfig", "damping", np.nan, "damping"),
+    ("ExperimentConfig", "damping", np.inf, "damping"),
     ("ExperimentConfig", "timing_sizes", (0,), "timing_sizes"),
     ("ExperimentConfig", "timing_sizes", (), "timing_sizes"),
     ("InfluenceRequest", "solver", "gmres", "solver"),
     ("InfluenceRequest", "damping", -1.0, "damping"),
+    ("InfluenceRequest", "damping", np.nan, "damping"),
+    ("InfluenceRequest", "damping", np.inf, "damping"),
     ("InfluenceRequest", "hvp_batch_size", 0, "hvp_batch_size"),
 ]
 _IDS = [f"{kind}-{field}-{value!r}" for kind, field, value, _ in _BAD]
@@ -116,7 +133,7 @@ def test_cli_train_takes_the_library_training_defaults():
         "--d-test", "1", "--out", "o"])
     train = training.TrainConfig()
     assert (args.batch_size, args.learning_rate, args.max_epochs,
-            args.patience, args.seed) == (
+            args.early_stop_patience, args.seed) == (
         train.batch_size, train.learning_rate, train.max_epochs,
         train.early_stop_patience, train.seed)
     model = harness.MODEL_DEFAULTS

@@ -553,12 +553,17 @@ def _bad_input_argv(case, tmp_path):
                    "d_test": DAY,
                    "model": {"input_dim": 4, "hidden_dims": hidden_dims}},
                   fh)
-    # A config that runs, for the unwritable --out-dir cases.
+    # A config that runs, for the unwritable --out-dir cases, and the same
+    # config with a NaN damping.
+    logreg = {"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
+              "d_test": DAY, "model": {"kind": "logreg", "input_dim": 4},
+              "train": {"max_epochs": 1}, "methods": ["vanilla"]}
     logreg_config = str(tmp_path / "logreg.json")
-    with open(logreg_config, "w") as fh:
-        json.dump({"data": csv_path, "t": 8 * DAY, "t_prime": 11 * DAY,
-                   "d_test": DAY, "model": {"kind": "logreg", "input_dim": 4},
-                   "train": {"max_epochs": 1}, "methods": ["vanilla"]}, fh)
+    nan_damping_config = str(tmp_path / "nan_damping.json")
+    for path, raw in ((logreg_config, logreg),
+                      (nan_damping_config, {**logreg, "damping": np.nan})):
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
     for name in ("vanilla_seed0.ckpt", "offline_report.json"):
         (tmp_path / name / name).mkdir(parents=True)
     missing = tmp_path / "missing"
@@ -569,6 +574,9 @@ def _bad_input_argv(case, tmp_path):
                 "--t-prime", str(11 * DAY), "--d-test", str(DAY)]
     update = ["update", "--checkpoint", ckpt, "--data", csv_path, *windows,
               "--out", str(tmp_path / "u.ckpt")]
+    generate = ["generate", "--n", "10", "--feature-dim", "2",
+                "--target-cvr", "0.2", "--delay-mean-tau", "10",
+                "--horizon", "100", "--out", str(tmp_path / "g.csv")]
     return {
         "train_missing_csv": [
             "train", "--data", str(tmp_path / "missing.csv"), *windows,
@@ -592,6 +600,18 @@ def _bad_input_argv(case, tmp_path):
             *update, "--solver", "neumann", "--neumann-terms", "0"],
         "update_neumann_zero_scale": [
             *update, "--solver", "neumann", "--neumann-scale", "0"],
+        "update_nan_damping": [*update, "--damping", "nan"],
+        "update_inf_damping": [*update, "--damping", "inf"],
+        "update_nan_tol": [*update, "--tol", "nan"],
+        "update_sq_nan_learning_rate": [
+            *update, "--solver", "sq", "--solver-learning-rate", "nan"],
+        "update_neumann_nan_scale": [
+            *update, "--solver", "neumann", "--neumann-scale", "nan"],
+        "train_nan_learning_rate": [*train, "--learning-rate", "nan"],
+        "generate_nan_delay": [*generate, "--delay-mean-tau", "nan"],
+        "generate_nan_drift": [*generate, "--drift-angle-per-day", "nan"],
+        "offline_nan_damping_config": [
+            "offline", "--config", nan_damping_config],
         "train_negative_width": [*train, "--hidden-dims=-5"],
         "train_zero_width": [*train, "--hidden-dims", "0"],
         "offline_zero_width_config": ["offline", "--config", config],
@@ -630,6 +650,21 @@ def _bad_input_argv(case, tmp_path):
     }[case]
 
 
+# Bad-input cases that set a float to NaN or inf, and the field the
+# error must name.
+_NON_FINITE_SETTING = {
+    "update_nan_damping": "damping",
+    "update_inf_damping": "damping",
+    "update_nan_tol": "tol_rel_residual",
+    "update_sq_nan_learning_rate": "learning_rate",
+    "update_neumann_nan_scale": "neumann_scale",
+    "train_nan_learning_rate": "learning_rate",
+    "generate_nan_delay": "delay_mean_tau",
+    "generate_nan_drift": "drift_angle_per_day",
+    "offline_nan_damping_config": "damping",
+}
+
+
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "train_missing_csv", "evaluate_missing_checkpoint",
@@ -648,6 +683,7 @@ class TestCliExitCodes:
         "update_out_in_missing_dir", "update_report_in_missing_dir",
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
+        *_NON_FINITE_SETTING,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -660,6 +696,8 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         if "missing_dir" in case or "_is_a_" in case:
             assert ": cannot write: " in err
+        if case in _NON_FINITE_SETTING:
+            assert f"{_NON_FINITE_SETTING[case]} must be finite" in err
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"

@@ -250,7 +250,7 @@ class TestSpec:
         (0, ()), (-1, (4,)), (3, (0,)), (3, (4, -5)),
     ])
     def test_nonpositive_widths_rejected(self, input_dim, hidden_dims):
-        with pytest.raises(ConfigError, match="widths"):
+        with pytest.raises(ConfigError, match="input_dim|hidden_dims"):
             Mlp(input_dim=input_dim, hidden_dims=hidden_dims)
 
     @pytest.mark.parametrize("l2_coeff", [-5.0, -1e-12, np.nan, np.inf])
@@ -366,7 +366,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"DFC1" + struct.pack("<I", len(blob)) + blob
                          + np.zeros(1).tobytes())
-        with pytest.raises(DataFormatError, match="widths"):
+        with pytest.raises(DataFormatError, match="hidden_dims"):
             models.load_checkpoint(str(path))
 
     def test_rejects_negative_l2_coeff_header(self, tmp_path):
