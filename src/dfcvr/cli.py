@@ -121,8 +121,6 @@ def _build_parser() -> _Parser:
         ("--solver-max-epochs", "max_epochs", int, None),
         ("--solver-minibatch", "minibatch_size", int, None),
         ("--solver-learning-rate", "learning_rate", float, None),
-        ("--neumann-terms", "neumann_terms", int, None),
-        ("--neumann-scale", "neumann_scale", float, None),
     ):
         up.add_argument(flag, dest=name, type=kind, default=None, help=text,
                         metavar=flag[2:].replace("-", "_").upper())
@@ -155,10 +153,6 @@ def _build_parser() -> _Parser:
                            help="override seeds, comma-separated")
         proto.add_argument("--methods", default=None,
                            help="override methods, comma-separated")
-        proto.add_argument("--solver", default=None,
-                           choices=tuple(solvers.SOLVERS))
-        proto.add_argument("--n", type=int, default=None,
-                           help="override the synthetic sample count")
     return parser
 
 
@@ -281,12 +275,6 @@ def _load_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             config,
             methods=tuple(m for m in args.methods.split(",") if m.strip()),
         )
-    if args.solver is not None:
-        config = replace(config, solver=args.solver)
-    if args.n is not None:
-        if not isinstance(config.data, SyntheticConfig):
-            raise ConfigError("--n only applies to synthetic data configs")
-        config = replace(config, data=replace(config.data, n=args.n))
     return config
 
 

@@ -271,7 +271,7 @@ class SyntheticConfig:
                 delay_mean_tau=self.delay_mean_tau, horizon=self.horizon)
         require("in (0, 1)", target_cvr=self.target_cvr)
         require("finite", drift_angle_per_day=self.drift_angle_per_day)
-        require("non-negative", seed=self.seed)
+        require("in [0, 2**32)", seed=self.seed)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -22,6 +22,8 @@ _RULES = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
     "in (0, 1)": lambda v: 0 < v < 1,
+    # A seed: optim.epoch_permutation packs it into 32 bits of its key.
+    "in [0, 2**32)": lambda v: 0 <= v < 2**32,
 }
 
 

@@ -43,7 +43,7 @@ from .data import (
 from .errors import ConfigError, DfcvrError, require, writing
 from .training import TrainConfig, train
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 VALID_METHODS = ("vanilla", "retrain", "oracle", "ifdfm", "ifdfm_wo_add")
 ONLINE_METHODS = ("pretrain", "ifdfm", "ifdfm_wo_add", "retrain_online")
@@ -86,7 +86,7 @@ class ExperimentConfig:
         for name in ("seeds", "timing_sizes"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        require("non-negative", seeds=self.seeds)
+        require("in [0, 2**32)", seeds=self.seeds)
         require("positive", timing_sizes=self.timing_sizes)
         solvers.default_solver_config(self.solver)
         solvers.check_damping(self.damping)

@@ -30,7 +30,8 @@ from .errors import ConfigError, NumericalError
 class InfluenceRequest:
     """What to correct and how to solve the resulting linear system.
 
-    ``reversal_indices`` index the training dataset; ``arrivals`` is an
+    ``reversal_indices`` are distinct integer indices into the training
+    dataset (a boolean mask is not accepted); ``arrivals`` is an
     optional (dataset, labels) pair of post-cutoff samples. Either
     correction can be toggled off. ``solver`` names a kind in
     ``solvers.SOLVERS``; a None ``solver_config`` uses that solver's
@@ -47,6 +48,13 @@ class InfluenceRequest:
     hvp_batch_size: int = solvers.HVP_BATCH_SIZE
 
     def __post_init__(self) -> None:
+        idx = np.asarray(self.reversal_indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ConfigError(
+                f"reversal_indices must be integers, got dtype {idx.dtype}")
+        ordered = np.sort(idx, axis=None)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ConfigError("reversal_indices must not repeat")
         solvers.default_solver_config(self.solver)
         solvers.check_damping(self.damping, self.hvp_batch_size)
 

@@ -26,9 +26,8 @@ class SolverConfig:
     """Shared solver knobs; each solver reads the subset it needs.
 
     ``tol_rel_residual`` is relative to ``norm(b)``. ``max_iters`` caps CG
-    iterations, ``max_epochs`` and ``minibatch_size`` drive the stochastic
-    solver, ``neumann_terms`` and ``neumann_scale`` the power series
-    (scale None means calibrate from a spectral-norm estimate).
+    iterations and power-series terms alike; ``max_epochs``,
+    ``minibatch_size`` and ``learning_rate`` drive the stochastic solver.
     """
 
     tol_rel_residual: float = 1e-4
@@ -36,19 +35,14 @@ class SolverConfig:
     max_epochs: int = 5
     minibatch_size: int = 512
     learning_rate: float = 0.01
-    neumann_terms: int = 500
-    neumann_scale: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require("non-negative", tol_rel_residual=self.tol_rel_residual,
-                seed=self.seed)
+        require("non-negative", tol_rel_residual=self.tol_rel_residual)
         require("positive", max_iters=self.max_iters,
                 max_epochs=self.max_epochs, minibatch_size=self.minibatch_size,
-                learning_rate=self.learning_rate,
-                neumann_terms=self.neumann_terms)
-        if self.neumann_scale is not None:
-            require("positive", neumann_scale=self.neumann_scale)
+                learning_rate=self.learning_rate)
+        require("in [0, 2**32)", seed=self.seed)
 
 
 # The solver registry: every solver kind and its default relative-residual
@@ -270,15 +264,15 @@ def power_iteration(operator, iters: int = 100, seed: int = 0) -> float:
 _NEUMANN_SCALE_MARGIN = 0.9
 
 
-@_solve_loop("power series diverged at term {}; reduce neumann_scale")
+@_solve_loop("power series diverged at term {}")
 def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
     """Truncated power-series solve ``delta = s * sum_t (I - sA)^t b``.
 
     The recurrence ``w <- w - s A w`` yields both the next series term
     and the exact residual of the partial sum, so each term costs one
-    HVP. The scale ``s`` must satisfy ``s * norm(A) < 1``; it is
-    validated (or calibrated, when unset) with a spectral-norm estimate,
-    which must be positive (a NaN estimate is not).
+    HVP. The scale ``s`` is ``0.9 / estimate``, from a spectral-norm
+    estimate by power iteration, which must be positive (a NaN estimate
+    is not); ``max_iters`` caps the terms.
     """
     estimate = power_iteration(operator, seed=config.seed)
     if not estimate > 0.0:
@@ -286,17 +280,10 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
             f"spectral-norm estimate {estimate} is not positive: the power "
             "iteration diverged or the operator is not positive definite"
         )
-    scale = config.neumann_scale or _NEUMANN_SCALE_MARGIN / estimate
-    # Strictly-greater test with a hair of slack: the exact boundary
-    # (e.g. the identity with s = 1) still converges in one term.
-    if scale * estimate - 1.0 > 1e-9:
-        raise _Breakdown(
-            f"series would diverge: scale * norm(A) ~ "
-            f"{scale * estimate:.3f} >= 1; reduce neumann_scale"
-        )
+    scale = _NEUMANN_SCALE_MARGIN / estimate
     delta = np.zeros_like(b)
     w = b.copy()
-    for _ in range(config.neumann_terms):
+    for _ in range(config.max_iters):
         delta += scale * w
         w -= scale * operator.matvec(w)
         yield delta, float(np.linalg.norm(w))

@@ -34,7 +34,7 @@ class TrainConfig:
         require("positive", batch_size=self.batch_size,
                 learning_rate=self.learning_rate, max_epochs=self.max_epochs,
                 early_stop_patience=self.early_stop_patience)
-        require("non-negative", seed=self.seed)
+        require("in [0, 2**32)", seed=self.seed)
 
 
 class TrainingDivergedError(NumericalError):

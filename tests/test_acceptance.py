@@ -222,7 +222,7 @@ class TestAcceptance:
             )
             r_ne = solvers.neumann_solve(
                 op, b, solvers.SolverConfig(tol_rel_residual=1e-6,
-                                            neumann_terms=500)
+                                            max_iters=500)
             )
             r_sq = solvers.sq_solve(
                 op, b, solvers.SolverConfig(tol_rel_residual=1e-4,

@@ -43,6 +43,7 @@ _BAD = [
     ("SyntheticConfig", "delay_mean_tau", np.inf, "delay_mean_tau"),
     ("SyntheticConfig", "horizon", 0, "horizon"),
     ("SyntheticConfig", "seed", -1, "seed"),
+    ("SyntheticConfig", "seed", 2**32, "seed"),
     ("SyntheticConfig", "drift_angle_per_day", np.nan, "drift_angle"),
     ("SyntheticConfig", "drift_angle_per_day", np.inf, "drift_angle"),
     ("SyntheticConfig", "drift_angle_per_day", -np.inf, "drift_angle"),
@@ -53,6 +54,7 @@ _BAD = [
     ("TrainConfig", "max_epochs", 0, "max_epochs"),
     ("TrainConfig", "early_stop_patience", 0, "early_stop_patience"),
     ("TrainConfig", "seed", -1, "seed"),
+    ("TrainConfig", "seed", 2**32, "seed"),
     ("SolverConfig", "tol_rel_residual", -1e-3, "tol_rel_residual"),
     ("SolverConfig", "tol_rel_residual", np.nan, "tol_rel_residual"),
     ("SolverConfig", "tol_rel_residual", np.inf, "tol_rel_residual"),
@@ -62,11 +64,8 @@ _BAD = [
     ("SolverConfig", "learning_rate", 0.0, "learning_rate"),
     ("SolverConfig", "learning_rate", np.nan, "learning_rate"),
     ("SolverConfig", "learning_rate", np.inf, "learning_rate"),
-    ("SolverConfig", "neumann_terms", 0, "neumann_terms"),
-    ("SolverConfig", "neumann_scale", 0.0, "neumann_scale"),
-    ("SolverConfig", "neumann_scale", np.nan, "neumann_scale"),
-    ("SolverConfig", "neumann_scale", np.inf, "neumann_scale"),
     ("SolverConfig", "seed", -1, "seed"),
+    ("SolverConfig", "seed", 2**32, "seed"),
     ("ExperimentConfig", "data", 3, "data must"),
     ("ExperimentConfig", "t", 11 * DAY, "t < t_prime"),
     ("ExperimentConfig", "t", DAY, "training window too short"),
@@ -76,6 +75,7 @@ _BAD = [
     ("ExperimentConfig", "methods", ("vanilla", "mystery"), "method"),
     ("ExperimentConfig", "seeds", (), "seeds"),
     ("ExperimentConfig", "seeds", (-1,), "seeds"),
+    ("ExperimentConfig", "seeds", (0, 2**32), "seeds"),
     ("ExperimentConfig", "solver", "gmres", "solver"),
     ("ExperimentConfig", "damping", -1.0, "damping"),
     ("ExperimentConfig", "damping", np.nan, "damping"),

@@ -1,5 +1,6 @@
 """Experiment-protocol and CLI tests on a small convex fixture."""
 
+import argparse
 import copy
 import csv
 import json
@@ -140,7 +141,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             _tiny_config(solver="gmres")
         with pytest.raises(ConfigError):
-            bad = solvers.SolverConfig(neumann_terms=0)
+            bad = solvers.SolverConfig(max_iters=0)
             _tiny_config(solver_config=bad)
         with pytest.raises(ConfigError):
             _tiny_config(timing_sizes=(0,))
@@ -160,7 +161,7 @@ _GOLDEN_CONFIGS = (
                              l2_coeff=1e-2),
             train=TrainConfig(seed=2),
             solver="neumann",
-            solver_config=solvers.SolverConfig(neumann_scale=0.5),
+            solver_config=solvers.SolverConfig(max_iters=50),
             output_dir="results",
         ),
         '{"data": {"n": 4000, "feature_dim": 5, "target_cvr": 0.2227, '
@@ -172,9 +173,8 @@ _GOLDEN_CONFIGS = (
         '"max_epochs": 30, "early_stop_patience": 5, "seed": 2}, '
         '"methods": ["vanilla", "retrain", "ifdfm"], '
         '"seeds": [0], "solver": "neumann", "solver_config": '
-        '{"tol_rel_residual": 0.0001, "max_iters": 1000, "max_epochs": 5, '
-        '"minibatch_size": 512, "learning_rate": 0.01, '
-        '"neumann_terms": 500, "neumann_scale": 0.5, "seed": 0}, '
+        '{"tol_rel_residual": 0.0001, "max_iters": 50, "max_epochs": 5, '
+        '"minibatch_size": 512, "learning_rate": 0.01, "seed": 0}, '
         '"damping": 0.001, "timing_sizes": [25000, 50000, 100000], '
         '"output_dir": "results"}',
     ),
@@ -597,17 +597,15 @@ def _bad_input_argv(case, tmp_path):
         "update_sq_zero_learning_rate": [
             *update, "--solver", "sq", "--solver-learning-rate", "0"],
         "update_neumann_zero_terms": [
-            *update, "--solver", "neumann", "--neumann-terms", "0"],
-        "update_neumann_zero_scale": [
-            *update, "--solver", "neumann", "--neumann-scale", "0"],
+            *update, "--solver", "neumann", "--solver-max-iters", "0"],
         "update_nan_damping": [*update, "--damping", "nan"],
         "update_inf_damping": [*update, "--damping", "inf"],
         "update_nan_tol": [*update, "--tol", "nan"],
         "update_sq_nan_learning_rate": [
             *update, "--solver", "sq", "--solver-learning-rate", "nan"],
-        "update_neumann_nan_scale": [
-            *update, "--solver", "neumann", "--neumann-scale", "nan"],
         "train_nan_learning_rate": [*train, "--learning-rate", "nan"],
+        "train_seed_beyond_32_bits": [*train, "--seed", str(2**64)],
+        "generate_seed_beyond_32_bits": [*generate, "--seed", str(2**128)],
         "generate_nan_delay": [*generate, "--delay-mean-tau", "nan"],
         "generate_nan_drift": [*generate, "--drift-angle-per-day", "nan"],
         "offline_nan_damping_config": [
@@ -650,18 +648,19 @@ def _bad_input_argv(case, tmp_path):
     }[case]
 
 
-# Bad-input cases that set a float to NaN or inf, and the field the
-# error must name.
-_NON_FINITE_SETTING = {
+# Bad-input cases that set a number out of its range, NaN and inf
+# included, and the field the error must name.
+_OUT_OF_RANGE_SETTING = {
     "update_nan_damping": "damping",
     "update_inf_damping": "damping",
     "update_nan_tol": "tol_rel_residual",
     "update_sq_nan_learning_rate": "learning_rate",
-    "update_neumann_nan_scale": "neumann_scale",
     "train_nan_learning_rate": "learning_rate",
     "generate_nan_delay": "delay_mean_tau",
     "generate_nan_drift": "drift_angle_per_day",
     "offline_nan_damping_config": "damping",
+    "train_seed_beyond_32_bits": "seed",
+    "generate_seed_beyond_32_bits": "seed",
 }
 
 
@@ -673,7 +672,7 @@ class TestCliExitCodes:
         "update_dim_mismatch", "evaluate_nan_checkpoint",
         "update_negative_damping", "update_sq_zero_minibatch",
         "update_sq_zero_learning_rate", "update_neumann_zero_terms",
-        "update_neumann_zero_scale", "train_negative_width",
+        "train_negative_width",
         "train_zero_width", "offline_zero_width_config",
         "offline_mlp_without_widths_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
@@ -683,7 +682,7 @@ class TestCliExitCodes:
         "update_out_in_missing_dir", "update_report_in_missing_dir",
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
-        *_NON_FINITE_SETTING,
+        *_OUT_OF_RANGE_SETTING,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -696,15 +695,34 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         if "missing_dir" in case or "_is_a_" in case:
             assert ": cannot write: " in err
-        if case in _NON_FINITE_SETTING:
-            assert f"{_NON_FINITE_SETTING[case]} must be finite" in err
+        if case in _OUT_OF_RANGE_SETTING:
+            assert f"{_OUT_OF_RANGE_SETTING[case]} must be finite" in err
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"
-        for command in ("update", "offline", "online", "timing",
-                        "compare-solvers"):
-            assert cli.main([command, "--help"]) == 0
-            assert choices in capsys.readouterr().out
+        assert cli.main(["update", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert choices in out
+        assert "--neumann" not in out
+
+    def test_protocols_take_only_the_config_and_its_overrides(self):
+        commands = next(
+            action.choices for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        for command in ("offline", "online", "timing", "compare-solvers"):
+            flags = {flag for action in commands[command]._actions
+                     for flag in action.option_strings}
+            assert flags == {"-h", "--help", "--config", "--out-dir",
+                             "--seeds", "--methods"}, command
+
+    @pytest.mark.parametrize("flags", [
+        ["update", "--checkpoint", "c", "--data", "d", "--t", "1",
+         "--t-prime", "2", "--out", "o", "--neumann-scale", "0.5"],
+        ["offline", "--config", "config.json", "--n", "100"],
+    ], ids=["update_neumann_scale", "offline_n"])
+    def test_removed_flags_are_usage_errors(self, capsys, flags):
+        assert cli.main(flags) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_error_is_one(self, capsys):
         assert cli.main(["generate", "--n", "10"]) == 1
@@ -744,6 +762,16 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("dfcvr: error: ")
         assert "unknown train keys: l2_coeff" in err
+
+    def test_neumann_setting_in_a_config_is_one(self, tmp_path, capsys):
+        raw = _tiny_config().to_json_dict()
+        raw["solver_config"]["neumann_scale"] = 0.5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["compare-solvers", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dfcvr: error: ")
+        assert "unknown solver_config keys: neumann_scale" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverged_training_is_two(self, tmp_path, capsys):

@@ -193,6 +193,19 @@ class TestBuildRhs:
             influence.build_rhs(spec, theta, dataset, data.Observed(T),
                                 request)
 
+    @pytest.mark.parametrize("indices, named", [
+        (np.array([True, False, True]), "integers, got dtype bool"),
+        (np.array([0.0, 1.0]), "integers, got dtype float64"),
+        (np.array([3, 5, 3]), "must not repeat"),
+    ], ids=["bool_mask", "float", "repeated"])
+    def test_malformed_indices_rejected(self, indices, named):
+        with pytest.raises(ConfigError, match=named):
+            influence.InfluenceRequest(reversal_indices=indices)
+
+    def test_empty_indices_of_any_dtype_accepted(self):
+        for empty in (np.array([], dtype=np.int64), np.array([]), []):
+            influence.InfluenceRequest(reversal_indices=empty)
+
     def test_positive_label_cannot_be_reversed(self):
         dataset, _, spec, theta = _fitted_lr()
         positives = np.flatnonzero(
@@ -328,7 +341,7 @@ class TestDeltaTotal:
             influence.InfluenceRequest(
                 reversal_indices=flips, solver="neumann",
                 solver_config=solvers.SolverConfig(
-                    tol_rel_residual=1e-3, neumann_terms=3000
+                    tol_rel_residual=1e-3, max_iters=3000
                 ),
                 damping=1e-2,
             ),

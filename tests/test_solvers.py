@@ -180,14 +180,18 @@ class TestPowerIteration:
 
 
 class TestNeumann:
-    def test_identity_with_unit_scale_converges_in_one_term(self):
+    def test_calibrated_scale_leaves_a_tenth_per_term_on_the_identity(self):
+        # The power iteration finds norm 1, so the scale is 0.9 and each
+        # term multiplies the residual by 1 - 0.9.
         op = MatrixOperator(np.eye(4))
         b = np.array([2.0, -1.0, 0.5, 3.0])
-        config = solvers.SolverConfig(neumann_scale=1.0)
-        result = solvers.neumann_solve(op, b, config)
+        result = solvers.neumann_solve(op, b, solvers.SolverConfig())
         assert result.converged
-        assert result.iterations == 1
-        np.testing.assert_allclose(result.delta, b, atol=1e-14)
+        assert result.iterations >= 4
+        np.testing.assert_allclose(
+            result.trace, 0.1 ** np.arange(1, result.iterations + 1),
+            rtol=1e-12)
+        np.testing.assert_allclose(result.delta, b, rtol=1e-4)
 
     def test_error_shrinks_with_more_terms(self):
         rng = np.random.default_rng(9)
@@ -197,7 +201,7 @@ class TestNeumann:
         errors = []
         for terms in (10, 50, 200):
             config = solvers.SolverConfig(
-                tol_rel_residual=1e-15, neumann_terms=terms
+                tol_rel_residual=1e-15, max_iters=terms
             )
             result = solvers.neumann_solve(
                 MatrixOperator(a), b, config
@@ -210,7 +214,7 @@ class TestNeumann:
         a = _random_spd(rng, 5, cond=8.0)
         b = rng.standard_normal(5)
         config = solvers.SolverConfig(tol_rel_residual=1e-12,
-                                      neumann_terms=100)
+                                      max_iters=100)
         result = solvers.neumann_solve(MatrixOperator(a), b, config)
         trace = np.array(result.trace)
         assert np.all(np.diff(trace) < 0.0)
@@ -220,33 +224,25 @@ class TestNeumann:
         a = _random_spd(rng, 5)
         b = rng.standard_normal(5)
         config = solvers.SolverConfig(tol_rel_residual=1e-6,
-                                      neumann_terms=400)
+                                      max_iters=400)
         result = solvers.neumann_solve(MatrixOperator(a), b, config)
         recomputed = np.linalg.norm(b - a @ result.delta) / np.linalg.norm(b)
         np.testing.assert_allclose(result.residual_rel, recomputed,
                                    rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("scale", [None, 0.5])
     @pytest.mark.parametrize("fill, named", [(np.nan, "nan"), (0.0, "0.0")])
     def test_nan_or_zero_spectral_estimate_raises_naming_it(
-        self, scale, fill, named
+        self, fill, named
     ):
         op = MatrixOperator(np.full((3, 3), fill))
-        config = solvers.SolverConfig(neumann_scale=scale)
         with pytest.raises(solvers.SolverError,
                            match=f"estimate {named} is not positive"):
-            solvers.solve("neumann", op, np.ones(3), config)
-
-    def test_overlarge_scale_raises(self):
-        op = MatrixOperator(np.diag([2.0, 1.0]))
-        config = solvers.SolverConfig(neumann_scale=1.0)
-        with pytest.raises(solvers.SolverError, match="diverge"):
-            solvers.neumann_solve(op, np.ones(2), config)
+            solvers.solve("neumann", op, np.ones(3))
 
     def test_calibrated_scale_solves_model_system(self):
         op, b = _lr_fixture()
         config = solvers.SolverConfig(tol_rel_residual=1e-3,
-                                      neumann_terms=2000)
+                                      max_iters=2000)
         result = solvers.neumann_solve(op, b, config)
         assert result.converged
         assert result.residual_rel <= 1e-3
@@ -379,7 +375,7 @@ class TestSolve:
         op = MatrixOperator(_random_spd(rng, 8, cond=10.0))
         b = rng.standard_normal(8)
         short = solvers.SolverConfig(tol_rel_residual=1e-12, max_iters=2,
-                                     max_epochs=2, neumann_terms=2)
+                                     max_epochs=2)
         for config in (solvers.default_solver_config(kind), short):
             result = solvers.solve(kind, op, b, config)
             assert result.iterations == len(result.trace) >= 1
@@ -394,8 +390,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("tol_rel_residual", -1e-3), ("max_iters", 0), ("max_epochs", 0),
-        ("minibatch_size", 0), ("learning_rate", 0.0), ("neumann_terms", 0),
-        ("neumann_scale", 0.0), ("seed", -1),
+        ("minibatch_size", 0), ("learning_rate", 0.0), ("seed", -1),
     ])
     def test_bad_config_rejected_before_any_matvec(self, field, value):
         # The config cannot be built, so no solver can start from it.
