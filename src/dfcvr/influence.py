@@ -31,11 +31,11 @@ class InfluenceRequest:
     """What to correct and how to solve the resulting linear system.
 
     ``reversal_indices`` are distinct integer indices into the training
-    dataset (a boolean mask is not accepted); ``arrivals`` is an
-    optional (dataset, labels) pair of post-cutoff samples. Either
-    correction can be toggled off. ``solver`` names a kind in
-    ``solvers.SOLVERS``; a None ``solver_config`` uses that solver's
-    defaults.
+    dataset, given as any 1-D sequence (not a boolean mask) and kept as
+    an int64 array; ``arrivals`` is an optional (dataset, labels) pair
+    of post-cutoff samples. Either correction can be toggled off.
+    ``solver`` names a kind in ``solvers.SOLVERS``; a None
+    ``solver_config`` uses that solver's defaults.
     """
 
     reversal_indices: np.ndarray
@@ -49,12 +49,17 @@ class InfluenceRequest:
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.reversal_indices)
+        if idx.ndim != 1:
+            raise ConfigError("reversal_indices must be one-dimensional, "
+                              f"got shape {idx.shape}")
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ConfigError(
                 f"reversal_indices must be integers, got dtype {idx.dtype}")
-        ordered = np.sort(idx, axis=None)
+        idx = idx.astype(np.int64)
+        ordered = np.sort(idx)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ConfigError("reversal_indices must not repeat")
+        object.__setattr__(self, "reversal_indices", idx)
         solvers.default_solver_config(self.solver)
         solvers.check_damping(self.damping, self.hvp_batch_size)
 
@@ -72,8 +77,15 @@ class InfluenceRequest:
 
 @dataclass
 class InfluenceRhs:
-    """Right-hand side ``b`` of the update system."""
+    """Right-hand side ``b`` of the update system, and its two columns:
+    ``delay``, the label-reversal terms, and ``add``, the arrival terms.
 
+    Both are already scaled by ``1/n`` and signed, and a column the
+    request turns off is zero; ``b`` is ``delay + add``.
+    """
+
+    delay: np.ndarray
+    add: np.ndarray
     b: np.ndarray
 
 
@@ -95,10 +107,11 @@ def build_rhs(
     n = len(dataset)
     if n == 0:
         raise ConfigError("training dataset is empty")
-    b = np.zeros(models.num_params(spec))
+    delay = np.zeros(models.num_params(spec))
+    add = np.zeros_like(delay)
 
-    if request.include_delay and request.reversal_indices.size:
-        idx = np.asarray(request.reversal_indices, dtype=np.int64)
+    idx = request.reversal_indices
+    if request.include_delay and idx.size:
         if idx.min() < 0 or idx.max() >= n:
             raise ConfigError("reversal indices out of range")
         labels = labels_of(dataset, view)
@@ -109,21 +122,81 @@ def build_rhs(
         x_rev = dataset.features[idx]
         zeros = np.zeros(idx.size)
         ones = np.ones(idx.size)
-        b += models.bce_grad_sum(spec, theta, x_rev, zeros) / n
-        b -= models.bce_grad_sum(spec, theta, x_rev, ones) / n
+        delay += models.bce_grad_sum(spec, theta, x_rev, zeros) / n
+        delay -= models.bce_grad_sum(spec, theta, x_rev, ones) / n
 
     if request.include_add and request.arrivals is not None:
         arrived, arrived_labels = request.arrivals
         if len(arrived):
             if arrived.feature_dim != dataset.feature_dim:
                 raise ConfigError("arrival feature dim does not match")
-            b -= models.bce_grad_sum(
+            add -= models.bce_grad_sum(
                 spec, theta, arrived.features, arrived_labels
             ) / n
 
+    b = delay + add
     if not np.all(np.isfinite(b)):
         raise NumericalError("right-hand side contains non-finite values")
-    return InfluenceRhs(b=b)
+    return InfluenceRhs(delay, add, b)
+
+
+class InfluenceSystem:
+    """The update system of ``request``, built once and solved as often
+    as needed: the right-hand side of :func:`build_rhs`, and the damped
+    curvature operator over ``dataset`` at ``theta``, which the first
+    solve of a non-zero right-hand side builds. ``build_time`` is the
+    wall time spent so far building both.
+    """
+
+    def __init__(self, spec: models.ModelSpec, theta: np.ndarray,
+                 dataset: Dataset, view: LabelView,
+                 request: InfluenceRequest) -> None:
+        start = time.perf_counter()
+        self.request = request
+        self.rhs = build_rhs(spec, theta, dataset, view, request)
+        self._training = (spec, theta, dataset, view)
+        self._operator: solvers.DampedHessianOperator | None = None
+        self.build_time = time.perf_counter() - start
+
+    @property
+    def operator(self) -> solvers.DampedHessianOperator:
+        """The damped operator over the training rows, built on first use."""
+        if self._operator is None:
+            start = time.perf_counter()
+            spec, theta, dataset, view = self._training
+            self._operator = solvers.DampedHessianOperator(
+                spec, theta, dataset.features, labels_of(dataset, view),
+                lam=self.request.damping,
+                hvp_batch_size=self.request.hvp_batch_size)
+            self.build_time += time.perf_counter() - start
+        return self._operator
+
+    def solve(self, b: np.ndarray) -> solvers.SolveResult:
+        """Solve the damped system for ``b`` with the request's solver.
+
+        A zero ``b`` short-circuits to a zero update. ``wall_time`` is
+        what this update alone costs: the shared build and this solve.
+        Raises :class:`solvers.SolverNotConvergedError`, carrying the best
+        iterate, when the solver cannot reach its tolerance.
+        """
+        request = self.request
+        config = (request.solver_config
+                  or solvers.default_solver_config(request.solver))
+        if float(np.linalg.norm(b)) == 0.0:
+            result = solvers.SolveResult(np.zeros_like(b), None, 0, True)
+        else:
+            result = solvers.solve(request.solver, self.operator, b, config)
+        if not result.converged:
+            raise solvers.SolverNotConvergedError(
+                f"{request.solver} stopped at relative residual "
+                f"{result.residual_rel:.3e} > {config.tol_rel_residual:.0e} "
+                f"after {result.iterations} iterations; raise the iteration "
+                "budget, loosen the tolerance, or increase the damping",
+                delta=result.delta,
+                residual_rel=result.residual_rel,
+            )
+        result.wall_time += self.build_time
+        return result
 
 
 def delta_total(
@@ -133,43 +206,12 @@ def delta_total(
     view: LabelView,
     request: InfluenceRequest,
 ) -> solvers.SolveResult:
-    """Solve for the combined parameter update.
-
-    The damped curvature is taken over the training dataset at ``theta``.
-    Returns the solver's result with ``wall_time`` covering the whole
-    update: the right-hand side, the operator build and the solve. A zero
-    right-hand side (nothing to correct) short-circuits to a zero update
-    without building the operator. Raises
-    :class:`solvers.SolverNotConvergedError`, carrying the best iterate,
-    when the configured solver cannot reach its tolerance.
-    """
-    start = time.perf_counter()
-    config = (request.solver_config
-              or solvers.default_solver_config(request.solver))
-    rhs = build_rhs(spec, theta, dataset, view, request)
-    if float(np.linalg.norm(rhs.b)) == 0.0:
-        result = solvers.SolveResult(np.zeros_like(rhs.b), None, 0, True)
-    else:
-        operator = solvers.DampedHessianOperator(
-            spec,
-            theta,
-            dataset.features,
-            labels_of(dataset, view),
-            lam=request.damping,
-            hvp_batch_size=request.hvp_batch_size,
-        )
-        result = solvers.solve(request.solver, operator, rhs.b, config)
-    if not result.converged:
-        raise solvers.SolverNotConvergedError(
-            f"{request.solver} stopped at relative residual "
-            f"{result.residual_rel:.3e} > {config.tol_rel_residual:.0e} "
-            f"after {result.iterations} iterations; raise the iteration "
-            "budget, loosen the tolerance, or increase the damping",
-            delta=result.delta,
-            residual_rel=result.residual_rel,
-        )
-    result.wall_time = time.perf_counter() - start
-    return result
+    """The combined parameter update: ``b`` solved on a fresh
+    :class:`InfluenceSystem`, so ``wall_time`` covers the right-hand side,
+    the operator build and the solve. Raises as
+    :meth:`InfluenceSystem.solve` does."""
+    system = InfluenceSystem(spec, theta, dataset, view, request)
+    return system.solve(system.rhs.b)
 
 
 def apply_update(theta: np.ndarray, report: solvers.SolveResult) -> np.ndarray:

@@ -1,8 +1,12 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 Prints a one-line PASS/FAIL verdict per acceptance criterion at the end
 of the terminal report, so the gate's outcome is readable at a glance.
 """
+
+import pytest
+
+from dfcvr import models
 
 _ACCEPTANCE_RESULTS = []
 
@@ -26,3 +30,18 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if passed else "FAIL"
         suffix = f" ({detail})" if detail else ""
         terminalreporter.write_line(f"{name}: {status}{suffix}")
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The calls of ``models.build_ggn_factors`` during the test: one per
+    curvature operator built."""
+    calls = []
+    build = models.build_ggn_factors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(models, "build_ggn_factors", counting)
+    return calls

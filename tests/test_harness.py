@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dfcvr
-from dfcvr import cli, harness, models, solvers
+from dfcvr import cli, data, harness, influence, models, solvers
 from dfcvr.data import SyntheticConfig
 from dfcvr.errors import ConfigError
 from dfcvr.training import TrainConfig
@@ -314,6 +314,42 @@ class TestOnline:
             seed_block["methods"]["ifdfm_wo_add"]
         )
 
+    def test_one_operator_build_per_seed(self, operator_builds):
+        harness.run_online(_tiny_config(seeds=(0, 1)))
+        assert len(operator_builds) == 2
+
+    @pytest.mark.parametrize("solver, solver_config", [
+        ("cg", solvers.SolverConfig(tol_rel_residual=1e-8)),
+        ("neumann", solvers.SolverConfig(tol_rel_residual=1e-6)),
+        ("sq", solvers.SolverConfig(tol_rel_residual=0.1, max_epochs=20,
+                                    learning_rate=0.05)),
+    ], ids=["cg", "neumann", "sq"])
+    def test_shared_system_gives_the_one_shot_updates(self, tmp_path, solver,
+                                                      solver_config):
+        # Both online updates solve on one system; each must equal its own
+        # delta_total, bit for bit.
+        config = _tiny_config(output_dir=str(tmp_path), solver=solver,
+                              solver_config=solver_config)
+        harness.run_online(config)
+        _, pretrain = models.load_checkpoint(str(tmp_path
+                                                 / "pretrain_seed0.ckpt"))
+        dataset = data.generate_synthetic(config.data)
+        splits = data.window_split(dataset, config.t, config.t_prime,
+                                   config.d_test)
+        for method, include_add in (("ifdfm", True), ("ifdfm_wo_add", False)):
+            request = influence.InfluenceRequest.for_window(
+                splits.core, dataset, config.t, config.t_prime, include_add,
+                solver=solver, solver_config=solver_config,
+                damping=config.damping,
+            )
+            one_shot = influence.apply_update(pretrain, influence.delta_total(
+                config.model, pretrain, splits.core,
+                data.Observed(config.t), request,
+            ))
+            _, shared = models.load_checkpoint(
+                str(tmp_path / f"{method}_seed0.ckpt"))
+            assert shared.tobytes() == one_shot.tobytes(), method
+
 
 @pytest.mark.parametrize("protocol", ["offline", "online"])
 def test_metrics_csv_rows_match_the_report(tmp_path, protocol):
@@ -370,9 +406,12 @@ class TestTiming:
 
 
 class TestCompareSolvers:
-    def test_all_solvers_reported_with_traces(self, tmp_path):
+    def test_all_solvers_reported_with_traces(self, tmp_path,
+                                              operator_builds):
         config = _tiny_config(output_dir=str(tmp_path), solver_config=None)
         report = harness.compare_solvers(config)
+        # Every kind solves on the one system's operator.
+        assert len(operator_builds) == 1
         assert set(report["solvers"]) == {"cg", "neumann", "sq"}
         for kind, summary in report["solvers"].items():
             assert "error" not in summary, (kind, summary)

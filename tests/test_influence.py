@@ -169,20 +169,26 @@ class TestBuildRhs:
         view = data.Observed(T)
         both = influence.build_rhs(spec, theta, dataset, view,
             influence.InfluenceRequest(reversal_indices=flips,
-                arrivals=arrivals, include_add=True)).b
+                arrivals=arrivals, include_add=True))
         delay_only = influence.build_rhs(spec, theta, dataset, view,
             influence.InfluenceRequest(reversal_indices=flips,
-                arrivals=arrivals, include_add=False)).b
+                arrivals=arrivals, include_add=False))
         add_only = influence.build_rhs(spec, theta, dataset, view,
             influence.InfluenceRequest(reversal_indices=flips,
                 arrivals=arrivals, include_delay=False,
-                include_add=True)).b
+                include_add=True))
         neither = influence.build_rhs(spec, theta, dataset, view,
             influence.InfluenceRequest(reversal_indices=flips,
                 arrivals=arrivals, include_delay=False,
-                include_add=False)).b
-        np.testing.assert_allclose(both, delay_only + add_only, atol=1e-14)
-        np.testing.assert_array_equal(neither, np.zeros(theta.size))
+                include_add=False))
+        np.testing.assert_allclose(both.b, delay_only.b + add_only.b,
+                                   atol=1e-14)
+        np.testing.assert_array_equal(neither.b, np.zeros(theta.size))
+        # b is its two columns' sum, and each column is what the request
+        # holding only that term builds, all byte for byte.
+        assert (both.delay + both.add).tobytes() == both.b.tobytes()
+        assert both.delay.tobytes() == delay_only.b.tobytes()
+        assert both.add.tobytes() == add_only.b.tobytes()
 
     def test_out_of_range_index_rejected(self):
         dataset, _, spec, theta = _fitted_lr()
@@ -197,14 +203,38 @@ class TestBuildRhs:
         (np.array([True, False, True]), "integers, got dtype bool"),
         (np.array([0.0, 1.0]), "integers, got dtype float64"),
         (np.array([3, 5, 3]), "must not repeat"),
-    ], ids=["bool_mask", "float", "repeated"])
+        ([0.0, 1.0], "integers, got dtype float64"),
+        ((3, 5, 3), "must not repeat"),
+        (np.array([[0, 1], [2, 3]]),
+         r"reversal_indices must be one-dimensional, got shape \(2, 2\)"),
+        (np.int64(3), "reversal_indices must be one-dimensional"),
+    ], ids=["bool_mask", "float", "repeated", "float_list", "repeated_tuple",
+            "2d", "scalar"])
     def test_malformed_indices_rejected(self, indices, named):
         with pytest.raises(ConfigError, match=named):
             influence.InfluenceRequest(reversal_indices=indices)
 
     def test_empty_indices_of_any_dtype_accepted(self):
-        for empty in (np.array([], dtype=np.int64), np.array([]), []):
-            influence.InfluenceRequest(reversal_indices=empty)
+        dataset, _, spec, theta = _fitted_lr()
+        for empty in (np.array([], dtype=np.int64), np.array([]), [], ()):
+            request = _cg_request(empty)
+            assert request.reversal_indices.dtype == np.int64
+            assert request.reversal_indices.shape == (0,)
+            report = influence.delta_total(spec, theta, dataset,
+                                           data.Observed(T), request)
+            np.testing.assert_array_equal(report.delta, np.zeros(theta.size))
+
+    def test_index_sequences_give_the_array_rhs(self):
+        dataset, flips, spec, theta = _fitted_lr()
+        view = data.Observed(T)
+        expected = influence.build_rhs(spec, theta, dataset, view,
+                                       _cg_request(flips)).b
+        for indices in (flips.tolist(), tuple(flips.tolist()),
+                        flips.astype(np.int32)):
+            request = _cg_request(indices)
+            assert request.reversal_indices.dtype == np.int64
+            rhs = influence.build_rhs(spec, theta, dataset, view, request)
+            assert rhs.b.tobytes() == expected.tobytes()
 
     def test_positive_label_cannot_be_reversed(self):
         dataset, _, spec, theta = _fitted_lr()
@@ -235,7 +265,7 @@ class TestBuildRhs:
 
 
 class TestDeltaTotal:
-    def test_zero_rhs_short_circuits(self):
+    def test_zero_rhs_short_circuits(self, operator_builds):
         dataset, _, spec, theta = _fitted_lr()
         request = _cg_request(np.array([], dtype=np.int64))
         report = influence.delta_total(
@@ -245,6 +275,13 @@ class TestDeltaTotal:
         assert report.residual_rel is None
         assert report.iterations == 0
         assert report.converged
+        assert operator_builds == []
+
+    def test_one_operator_build_per_update(self, operator_builds):
+        dataset, flips, spec, theta = _fitted_lr()
+        influence.delta_total(spec, theta, dataset, data.Observed(T),
+                              _cg_request(flips))
+        assert len(operator_builds) == 1
 
     def test_matches_dense_linear_solve(self):
         dataset, flips, spec, theta = _fitted_lr(seed=3, n=200, d=5, n_flip=4)
