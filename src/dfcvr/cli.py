@@ -151,8 +151,9 @@ def _build_parser() -> _Parser:
                            help="override the config's output_dir")
         proto.add_argument("--seeds", default=None,
                            help="override seeds, comma-separated")
-        proto.add_argument("--methods", default=None,
-                           help="override methods, comma-separated")
+        if name == "offline":  # the one protocol that reads the methods
+            proto.add_argument("--methods", default=None,
+                               help="override methods, comma-separated")
     return parser
 
 
@@ -270,7 +271,7 @@ def _load_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, output_dir=args.out_dir)
     if args.seeds is not None:
         config = replace(config, seeds=_parse_int_list(args.seeds, "seeds"))
-    if args.methods is not None:
+    if getattr(args, "methods", None) is not None:
         config = replace(
             config,
             methods=tuple(m for m in args.methods.split(",") if m.strip()),

@@ -6,6 +6,7 @@ exit with 1, numerical failures with 2.
 
 import contextlib
 import math
+from typing import get_args, get_origin
 
 
 class DfcvrError(Exception):
@@ -40,6 +41,24 @@ def require(rule: str, **settings) -> None:
         for v in value if isinstance(value, tuple) else (value,):
             if not ((isinstance(v, int) or math.isfinite(v)) and ok(v)):
                 raise ConfigError(f"{name} must be {what}, got {v}")
+
+
+def decode(tp: type, value, name: str):
+    """``value``, read from JSON, as a setting of type ``tp``: ``int``,
+    ``float`` (an integer too), ``str``, or a tuple of one, given as a list
+    (or, from Python, a tuple).
+
+    Anything else, a boolean included, is a ConfigError naming ``name``.
+    """
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(decode(get_args(tp)[0], v, name) for v in value)
+    kinds = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be of type {tp.__name__}, "
+                          f"got {value!r}")
+    return tp(value)
 
 
 class DataFormatError(DfcvrError):

@@ -40,7 +40,7 @@ from .data import (
     load_csv,
     window_split,
 )
-from .errors import ConfigError, DfcvrError, require, writing
+from .errors import ConfigError, DfcvrError, decode, require, writing
 from .training import TrainConfig, train
 
 SCHEMA_VERSION = 3
@@ -137,29 +137,25 @@ def _check_keys(raw: dict, allowed: Iterable[str], where: str) -> None:
 
 
 def _from_json(cls: type, raw: dict, where: str, **given: Any) -> Any:
-    """Dataclass ``cls`` from its JSON object ``raw``.
-
-    ``given`` holds fields already decoded by the caller.
-    """
+    """Dataclass ``cls`` from its JSON object ``raw``, the block ``where``
+    (``"config"`` at the top level); ``given`` holds decoded fields."""
     _check_keys(raw, (f.name for f in fields(cls)), where)
     hints = get_type_hints(cls)
-    decoded = {k: _coerce(hints[k], v, k)
+    prefix = "" if where == "config" else f"{where}."
+    decoded = {k: _coerce(hints[k], v, prefix + k)
                for k, v in raw.items() if k not in given}
     return cls(**decoded, **given)
 
 
 def _coerce(tp: Any, value: Any, where: str) -> Any:
-    """``value`` as annotated type ``tp``: a dataclass, ``X | None``,
-    ``tuple[X, ...]`` or a scalar type."""
+    """``value`` as annotated type ``tp``: a dataclass, ``X | None``, or
+    what :func:`errors.decode` reads."""
     if is_dataclass(tp):
         return _from_json(tp, value, where)
-    args = get_args(tp)
     if get_origin(tp) in (Union, UnionType):
-        (inner,) = [a for a in args if a is not type(None)]
+        (inner,) = [a for a in get_args(tp) if a is not type(None)]
         return None if value is None else _coerce(inner, value, where)
-    if get_origin(tp) is tuple:
-        return tuple(_coerce(args[0], v, where) for v in value)
-    return tp(value)
+    return decode(tp, value, where)
 
 
 def _data_from_json(raw: Any) -> SyntheticConfig | str:
@@ -168,7 +164,7 @@ def _data_from_json(raw: Any) -> SyntheticConfig | str:
         return raw
     if "csv" in raw:
         _check_keys(raw, ("csv",), "data")
-        return str(raw["csv"])
+        return decode(str, raw["csv"], "data.csv")
     return _from_json(SyntheticConfig, raw, "data")
 
 

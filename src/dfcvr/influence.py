@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,20 +33,22 @@ class InfluenceRequest:
 
     ``reversal_indices`` are distinct integer indices into the training
     dataset, given as any 1-D sequence (not a boolean mask) and kept as
-    an int64 array; ``arrivals`` is an optional (dataset, labels) pair
-    of post-cutoff samples. Either correction can be toggled off.
-    ``solver`` names a kind in ``solvers.SOLVERS``; a None
-    ``solver_config`` uses that solver's defaults.
+    an int64 array; the reversal correction is on exactly when there is
+    one. ``arrivals`` is an optional (dataset, labels) pair of
+    post-cutoff samples, integrated if ``include_add``. ``solver`` names
+    a kind in ``solvers.SOLVERS``; a None ``solver_config`` uses that
+    solver's defaults.
     """
 
     reversal_indices: np.ndarray
     arrivals: tuple[Dataset, np.ndarray] | None = None
-    include_delay: bool = True
     include_add: bool = False
     solver: str = "cg"
     solver_config: solvers.SolverConfig | None = None
     damping: float = 1e-3
-    hvp_batch_size: int = solvers.HVP_BATCH_SIZE
+    # Constants, not settings; ``benchmarks/`` reads them.
+    include_delay: ClassVar[bool] = True
+    hvp_batch_size: ClassVar[int] = solvers.HVP_BATCH_SIZE
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.reversal_indices)
@@ -61,7 +64,7 @@ class InfluenceRequest:
             raise ConfigError("reversal_indices must not repeat")
         object.__setattr__(self, "reversal_indices", idx)
         solvers.default_solver_config(self.solver)
-        solvers.check_damping(self.damping, self.hvp_batch_size)
+        solvers.check_damping(self.damping)
 
     @classmethod
     def for_window(cls, core: Dataset, log: Dataset, t: int, t_prime: int,
@@ -111,7 +114,7 @@ def build_rhs(
     add = np.zeros_like(delay)
 
     idx = request.reversal_indices
-    if request.include_delay and idx.size:
+    if idx.size:
         if idx.min() < 0 or idx.max() >= n:
             raise ConfigError("reversal indices out of range")
         labels = labels_of(dataset, view)
@@ -166,8 +169,7 @@ class InfluenceSystem:
             spec, theta, dataset, view = self._training
             self._operator = solvers.DampedHessianOperator(
                 spec, theta, dataset.features, labels_of(dataset, view),
-                lam=self.request.damping,
-                hvp_batch_size=self.request.hvp_batch_size)
+                lam=self.request.damping)
             self.build_time += time.perf_counter() - start
         return self._operator
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, require, writing
+from .errors import ConfigError, DataFormatError, decode, require, writing
 
 LOGIT_CLAMP = 30.0
 PROB_CLIP = 1e-7
@@ -111,15 +111,9 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Conversion probabilities in [PROB_CLIP, 1 - PROB_CLIP].
-
-    Accepts a single feature vector or an (n, d) batch; the output shape
-    follows the input.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    probs, _ = _link(_sweep(spec, params, x[None, :] if single else x)[3])
-    return probs[0] if single else probs
+    """Conversion probabilities in [PROB_CLIP, 1 - PROB_CLIP] of an
+    ``(n, input_dim)`` feature batch, one per row."""
+    return _link(_sweep(spec, params, np.asarray(x, dtype=np.float64))[3])[0]
 
 
 @dataclass
@@ -165,8 +159,8 @@ def _sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     :func:`build_ggn_factors`: the layers, each layer's input, the ReLU
     masks and the logits."""
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ConfigError(f"feature batch of shape {x.shape} does not "
-                          f"match model input dim {spec.input_dim}")
+        raise ConfigError(f"feature batch has shape {x.shape}, expected "
+                          f"(n, input_dim) = (n, {spec.input_dim})")
     layers = unpack_params(spec, params)
     inputs = [x]
     masks = []
@@ -237,23 +231,14 @@ def build_ggn_factors(
     return GgnFactors(inputs, _backward(layers, masks, ones)[:-1], h)
 
 
-def _grad_from_state(
-    spec: ModelSpec, params: np.ndarray, state: BatchState, mean: bool
-) -> np.ndarray:
-    """Flat BCE gradient over the batch: the mean plus the L2 penalty's
-    gradient if ``mean``, else the plain per-sample sum."""
+def _grad_sum(spec: ModelSpec, state: BatchState) -> np.ndarray:
+    """Flat sum of the per-sample BCE gradients over the batch."""
     out = np.empty(num_params(spec))
-    grads = unpack_params(spec, out)
-    layers = unpack_params(spec, params)
-    for (dw, db), (w, _), inputs_l, delta_l in zip(
-        grads, layers, state.inputs, state.deltas
+    for (dw, db), inputs_l, delta_l in zip(
+        unpack_params(spec, out), state.inputs, state.deltas
     ):
         np.matmul(delta_l.T, inputs_l, out=dw)
         np.sum(delta_l, axis=0, out=db)
-        if mean:
-            dw /= state.n
-            dw += spec.l2_coeff * w
-            db /= state.n
     return out
 
 
@@ -262,19 +247,21 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean BCE plus L2 penalty, and its gradient, over the batch."""
     state = build_state(spec, params, x, y)
-    reg = 0.5 * spec.l2_coeff * sum(
-        float(np.sum(w * w)) for w, _ in unpack_params(spec, params)
-    )
+    layers = unpack_params(spec, params)
+    reg = 0.5 * spec.l2_coeff * sum(float(np.sum(w * w)) for w, _ in layers)
     loss = float(np.mean(state.losses)) + reg
-    return loss, _grad_from_state(spec, params, state, mean=True)
+    grad = _grad_sum(spec, state)
+    grad /= state.n
+    for (dw, _), (w, _) in zip(unpack_params(spec, grad), layers):
+        dw += spec.l2_coeff * w
+    return loss, grad
 
 
 def bce_grad_sum(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Sum of per-sample BCE gradients, excluding the L2 penalty."""
-    state = build_state(spec, params, x, y)
-    return _grad_from_state(spec, params, state, mean=False)
+    return _grad_sum(spec, build_state(spec, params, x, y))
 
 
 def hvp_from_state(
@@ -409,14 +396,15 @@ def spec_from_header(header: dict) -> ModelSpec:
             raise ConfigError(f"unknown model kind {kind!r}")
         hidden = ()
         if kind == "mlp":
-            hidden = tuple(int(h) for h in header["hidden_dims"])
+            hidden = decode(tuple[int, ...], header["hidden_dims"],
+                            "hidden_dims")
             if not hidden:
                 raise ConfigError(
                     'model kind "mlp" needs at least one hidden width; '
                     'kind "logreg" has none'
                 )
-        return Mlp(int(header["input_dim"]), hidden,
-                   float(header["l2_coeff"]))
+        return Mlp(decode(int, header["input_dim"], "input_dim"), hidden,
+                   decode(float, header["l2_coeff"], "l2_coeff"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model header: {exc}") from None
 

@@ -63,11 +63,10 @@ def default_solver_config(kind: str) -> SolverConfig:
     return SolverConfig(tol_rel_residual=SOLVERS[kind])
 
 
-def check_damping(lam: float, hvp_batch_size: int = HVP_BATCH_SIZE) -> None:
-    """The ranges of a :class:`DampedHessianOperator`'s settings, also
-    checked by the settings that hold them before an operator exists."""
+def check_damping(lam: float) -> None:
+    """The damping's range, checked by :class:`DampedHessianOperator` and
+    by the settings that hold a damping before an operator exists."""
     require("non-negative", damping=lam)
-    require("positive", hvp_batch_size=hvp_batch_size)
 
 
 @dataclass
@@ -127,7 +126,8 @@ class DampedHessianOperator:
         lam: float,
         hvp_batch_size: int = HVP_BATCH_SIZE,
     ) -> None:
-        check_damping(lam, hvp_batch_size)
+        check_damping(lam)
+        require("positive", hvp_batch_size=hvp_batch_size)
         self.spec = spec
         self.lam = lam
         self.hvp_batch_size = hvp_batch_size
@@ -238,18 +238,14 @@ def cg_solve(operator, b: np.ndarray, config: SolverConfig):
         rs = rs_new
 
 
-def power_iteration(operator, iters: int = 100, seed: int = 0) -> float:
-    """Rayleigh-quotient estimate of the largest eigenvalue.
-
-    ``iters`` normalized matrix-vector products from a random unit start.
-    """
-    if iters < 10:
-        raise ConfigError("power iteration needs at least 10 iterations")
+def power_iteration(operator, seed: int = 0) -> float:
+    """Rayleigh-quotient estimate of the largest eigenvalue after 100
+    normalized matrix-vector products from a random unit start."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(operator.dim)
     v /= np.linalg.norm(v)
     rq = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         w = operator.matvec(v)
         rq = float(v @ w)
         norm = float(np.linalg.norm(w))
@@ -295,23 +291,19 @@ def sq_solve(operator, b: np.ndarray, config: SolverConfig):
     """Adam on ``F(delta) = 0.5 <delta, A delta> - <b, delta>``.
 
     Minimizing F solves ``A delta = b``, and its gradient ``A delta - b``
-    is the residual. An operator with ``n_samples`` supplies unbiased
-    minibatch gradients through ``matvec_batch``; without one each epoch
-    is a single full-batch step. One full-pass residual check per epoch;
-    returns the epoch-boundary iterate with the smallest relative
-    residual.
+    is the residual. The operator's ``matvec_batch`` over minibatches of
+    its ``n_samples`` rows supplies unbiased gradients. One full-pass
+    residual check per epoch; returns the epoch-boundary iterate with the
+    smallest relative residual.
     """
     delta = np.zeros_like(b)
     adam = Adam(b.shape[0], config.learning_rate)
-    n = getattr(operator, "n_samples", None)
+    n = operator.n_samples
     for epoch in range(1, config.max_epochs + 1):
-        if n is None:
-            adam.step(delta, operator.matvec(delta) - b)
-        else:
-            perm = epoch_permutation(config.seed, epoch, n)
-            for begin in range(0, n, config.minibatch_size):
-                rows = perm[begin : begin + config.minibatch_size]
-                adam.step(delta, operator.matvec_batch(delta, rows) - b)
+        perm = epoch_permutation(config.seed, epoch, n)
+        for begin in range(0, n, config.minibatch_size):
+            rows = perm[begin : begin + config.minibatch_size]
+            adam.step(delta, operator.matvec_batch(delta, rows) - b)
         yield delta, float(np.linalg.norm(operator.matvec(delta) - b))
 
 

@@ -5,7 +5,10 @@ import numpy as np
 
 
 class MatrixOperator:
-    """Dense symmetric matrix wrapped as a linear operator."""
+    """Dense symmetric matrix wrapped as a linear operator: a finite sum of
+    one sample, so each stochastic minibatch is the full product."""
+
+    n_samples = 1
 
     def __init__(self, matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -19,3 +22,6 @@ class MatrixOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._matrix @ v
+
+    def matvec_batch(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return self.matvec(v)

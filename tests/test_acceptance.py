@@ -277,7 +277,6 @@ class TestAcceptance:
 
             request = influence.InfluenceRequest(
                 reversal_indices=flip,
-                include_delay=True,
                 include_add=False,
                 solver="cg",
                 solver_config=solvers.SolverConfig(tol_rel_residual=1e-5,
@@ -334,7 +333,6 @@ class TestAcceptance:
         request = influence.InfluenceRequest(
             reversal_indices=np.array([], dtype=np.int64),
             arrivals=(arrived, y_new),
-            include_delay=False,
             include_add=True,
             solver="cg",
             solver_config=solvers.SolverConfig(tol_rel_residual=1e-5,

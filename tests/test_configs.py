@@ -86,7 +86,6 @@ _BAD = [
     ("InfluenceRequest", "damping", -1.0, "damping"),
     ("InfluenceRequest", "damping", np.nan, "damping"),
     ("InfluenceRequest", "damping", np.inf, "damping"),
-    ("InfluenceRequest", "hvp_batch_size", 0, "hvp_batch_size"),
 ]
 _IDS = [f"{kind}-{field}-{value!r}" for kind, field, value, _ in _BAD]
 

@@ -603,6 +603,10 @@ def _bad_input_argv(case, tmp_path):
                       (nan_damping_config, {**logreg, "damping": np.nan})):
         with open(path, "w") as fh:
             json.dump(raw, fh)
+    if case in _WRONG_KIND_CONFIG:
+        (tmp_path / "wrong_kind.json").write_text(
+            json.dumps({**logreg, **_WRONG_KIND_CONFIG[case][0]}))
+        return ["offline", "--config", str(tmp_path / "wrong_kind.json")]
     for name in ("vanilla_seed0.ckpt", "offline_report.json"):
         (tmp_path / name / name).mkdir(parents=True)
     missing = tmp_path / "missing"
@@ -703,6 +707,23 @@ _OUT_OF_RANGE_SETTING = {
 }
 
 
+# Bad-input cases that give a config setting a value of the wrong JSON
+# kind, as the keys they override, and the field the error must name. An
+# integer setting takes only an integer and a number setting an integer or
+# a float; neither takes a boolean or a string, and a tuple needs a list.
+_WRONG_KIND_CONFIG = {
+    "offline_fractional_t_config": ({"t": 8 * DAY + 0.9}, "t"),
+    "offline_fractional_seed_config": ({"seeds": [0.9]}, "seeds"),
+    "offline_fractional_width_config": (
+        {"model": {"input_dim": 4, "hidden_dims": [4.7]}}, "hidden_dims"),
+    "offline_fractional_epochs_config": (
+        {"train": {"max_epochs": 2.5}}, "train.max_epochs"),
+    "offline_boolean_damping_config": ({"damping": True}, "damping"),
+    "offline_string_damping_config": ({"damping": "0.02"}, "damping"),
+    "offline_string_methods_config": ({"methods": "ifdfm"}, "methods"),
+}
+
+
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "train_missing_csv", "evaluate_missing_checkpoint",
@@ -721,7 +742,7 @@ class TestCliExitCodes:
         "update_out_in_missing_dir", "update_report_in_missing_dir",
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
-        *_OUT_OF_RANGE_SETTING,
+        *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -736,6 +757,8 @@ class TestCliExitCodes:
             assert ": cannot write: " in err
         if case in _OUT_OF_RANGE_SETTING:
             assert f"{_OUT_OF_RANGE_SETTING[case]} must be finite" in err
+        if case in _WRONG_KIND_CONFIG:
+            assert f"error: {_WRONG_KIND_CONFIG[case][1]} must be " in err
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"
@@ -748,17 +771,21 @@ class TestCliExitCodes:
         commands = next(
             action.choices for action in cli._build_parser()._actions
             if isinstance(action, argparse._SubParsersAction))
+        # Only offline reads the config's methods; the other protocols run
+        # a fixed set.
         for command in ("offline", "online", "timing", "compare-solvers"):
             flags = {flag for action in commands[command]._actions
                      for flag in action.option_strings}
+            methods = {"--methods"} if command == "offline" else set()
             assert flags == {"-h", "--help", "--config", "--out-dir",
-                             "--seeds", "--methods"}, command
+                             "--seeds", *methods}, command
 
     @pytest.mark.parametrize("flags", [
         ["update", "--checkpoint", "c", "--data", "d", "--t", "1",
          "--t-prime", "2", "--out", "o", "--neumann-scale", "0.5"],
         ["offline", "--config", "config.json", "--n", "100"],
-    ], ids=["update_neumann_scale", "offline_n"])
+        ["online", "--config", "config.json", "--methods", "ifdfm"],
+    ], ids=["update_neumann_scale", "offline_n", "online_methods"])
     def test_removed_flags_are_usage_errors(self, capsys, flags):
         assert cli.main(flags) == 1
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -173,14 +173,14 @@ class TestBuildRhs:
         delay_only = influence.build_rhs(spec, theta, dataset, view,
             influence.InfluenceRequest(reversal_indices=flips,
                 arrivals=arrivals, include_add=False))
+        # The reversal term is on exactly when there are reversals.
+        no_flips = np.array([], dtype=np.int64)
         add_only = influence.build_rhs(spec, theta, dataset, view,
-            influence.InfluenceRequest(reversal_indices=flips,
-                arrivals=arrivals, include_delay=False,
-                include_add=True))
+            influence.InfluenceRequest(reversal_indices=no_flips,
+                arrivals=arrivals, include_add=True))
         neither = influence.build_rhs(spec, theta, dataset, view,
-            influence.InfluenceRequest(reversal_indices=flips,
-                arrivals=arrivals, include_delay=False,
-                include_add=False))
+            influence.InfluenceRequest(reversal_indices=no_flips,
+                arrivals=arrivals, include_add=False))
         np.testing.assert_allclose(both.b, delay_only.b + add_only.b,
                                    atol=1e-14)
         np.testing.assert_array_equal(neither.b, np.zeros(theta.size))

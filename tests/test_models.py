@@ -44,24 +44,24 @@ def _random_instance(rng, spec, n=30, scale=0.5):
 class TestPredict:
     def test_zero_params_give_half(self):
         lr = LogisticRegression(input_dim=4)
-        assert models.predict(lr, np.zeros(5), np.ones(4)) == 0.5
+        assert models.predict(lr, np.zeros(5), np.ones((1, 4)))[0] == 0.5
         mlp = Mlp(input_dim=4, hidden_dims=(6, 3))
         zeros = np.zeros(models.num_params(mlp))
-        assert models.predict(mlp, zeros, np.ones(4)) == 0.5
+        assert models.predict(mlp, zeros, np.ones((1, 4)))[0] == 0.5
 
     def test_unit_weight_closed_form(self):
         lr = LogisticRegression(input_dim=3)
         params = np.array([1.0, 0.0, 0.0, 0.0])  # w = e1, b = 0
-        x = np.array([1.0, 0.0, 0.0])
+        x = np.array([[1.0, 0.0, 0.0]])
         np.testing.assert_allclose(
-            models.predict(lr, params, x), 1.0 / (1.0 + np.exp(-1.0)),
+            models.predict(lr, params, x)[0], 1.0 / (1.0 + np.exp(-1.0)),
             rtol=1e-12,
         )
 
     def test_dimension_mismatch(self):
         lr = LogisticRegression(input_dim=3)
         with pytest.raises(ConfigError):
-            models.predict(lr, np.zeros(4), np.ones(5))
+            models.predict(lr, np.zeros(4), np.ones((1, 5)))
 
     def test_clipping_inactive_on_bounded_fixtures(self):
         rng = np.random.default_rng(0)
@@ -72,17 +72,18 @@ class TestPredict:
             theta *= 2.0 / max(np.linalg.norm(theta), 2.0)
             x = rng.standard_normal(5)
             x *= 10.0 / max(np.linalg.norm(x), 10.0)
-            prob = models.predict(spec, theta, x)
+            prob = models.predict(spec, theta, x[None, :])[0]
             assert models.PROB_CLIP < prob < 1.0 - models.PROB_CLIP
 
-    def test_batch_matches_single(self):
+    def test_single_vector_is_rejected(self):
+        # A lone vector would go through a one-row product, which BLAS may
+        # sum differently from the same row in a batch.
         rng = np.random.default_rng(1)
         spec = Mlp(input_dim=4, hidden_dims=(6,))
         theta, x, _ = _random_instance(rng, spec, n=10)
-        batch = models.predict(spec, theta, x)
-        singles = [models.predict(spec, theta, x[i]) for i in range(10)]
-        # BLAS may reorder the matrix product, so allow the last bit to move
-        np.testing.assert_allclose(batch, singles, rtol=1e-14)
+        with pytest.raises(ConfigError,
+                           match=r"shape \(4,\), expected .*\(n, 4\)"):
+            models.predict(spec, theta, x[0])
 
 
 class TestBceLoss:
