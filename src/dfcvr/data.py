@@ -41,6 +41,7 @@ _FAST_BYTES = b"0123456789+-.e,\r\nclickpayts_f"
 _SCAN_BYTES = 1 << 20
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Dataset:
     """Columnar, read-only store of click events.
 
@@ -49,15 +50,14 @@ class Dataset:
     here. ``pay_ts`` uses -1 internally for missing conversions.
     """
 
-    def __init__(
-        self,
-        features: np.ndarray,
-        click_ts: np.ndarray,
-        pay_ts: np.ndarray,
-    ) -> None:
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        click_ts = np.ascontiguousarray(click_ts, dtype=np.int64)
-        pay_ts = np.ascontiguousarray(pay_ts, dtype=np.int64)
+    features: np.ndarray
+    click_ts: np.ndarray
+    pay_ts: np.ndarray
+
+    def __post_init__(self) -> None:
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        click_ts = np.ascontiguousarray(self.click_ts, dtype=np.int64)
+        pay_ts = np.ascontiguousarray(self.pay_ts, dtype=np.int64)
         if features.ndim != 2:
             raise DataFormatError("features must be a 2-d array (n, d)")
         n = features.shape[0]
@@ -72,43 +72,30 @@ class Dataset:
         has_pay = pay_ts != PAY_TS_MISSING
         if np.any(pay_ts[has_pay] < click_ts[has_pay]):
             raise DataFormatError("pay_ts precedes click_ts for some samples")
-        for arr in (features, click_ts, pay_ts):
+        for name, arr in (("features", features), ("click_ts", click_ts),
+                          ("pay_ts", pay_ts)):
             arr.setflags(write=False)
-        self._features = features
-        self._click_ts = click_ts
-        self._pay_ts = pay_ts
-
-    @property
-    def features(self) -> np.ndarray:
-        return self._features
-
-    @property
-    def click_ts(self) -> np.ndarray:
-        return self._click_ts
-
-    @property
-    def pay_ts(self) -> np.ndarray:
-        return self._pay_ts
+            object.__setattr__(self, name, arr)
 
     @property
     def feature_dim(self) -> int:
-        return self._features.shape[1]
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return self._features.shape[0]
+        return self.features.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New dataset holding the selected rows, in the given order."""
         return Dataset(
-            self._features[indices],
-            self._click_ts[indices],
-            self._pay_ts[indices],
+            self.features[indices],
+            self.click_ts[indices],
+            self.pay_ts[indices],
         )
 
     def window(self, start: Timestamp, stop: Timestamp) -> "Dataset":
         """The clicks of ``[start, stop)``, in log order; every click-time
         window of the package is cut here."""
-        clicks = self._click_ts
+        clicks = self.click_ts
         return self.subset(np.flatnonzero((clicks >= start) & (clicks < stop)))
 
 
@@ -267,8 +254,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require("positive", n=self.n, feature_dim=self.feature_dim,
-                delay_mean_tau=self.delay_mean_tau, horizon=self.horizon)
+        require("positive", n=self.n, delay_mean_tau=self.delay_mean_tau,
+                horizon=self.horizon)
+        require("at least 2", feature_dim=self.feature_dim)
         require("in (0, 1)", target_cvr=self.target_cvr)
         require("finite", drift_angle_per_day=self.drift_angle_per_day)
         require("in [0, 2**32)", seed=self.seed)
@@ -424,10 +412,6 @@ def load_csv(path: str) -> Dataset:
             if pay != PAY_TS_MISSING and pay < click:
                 raise DataFormatError(
                     f"{path}:{lineno}: pay_ts {pay} precedes click_ts {click}"
-                )
-            if pay < PAY_TS_MISSING:
-                raise DataFormatError(
-                    f"{path}:{lineno}: pay_ts must be -1 or >= click_ts"
                 )
             if not all(np.isfinite(feats)):
                 raise DataFormatError(

@@ -23,6 +23,8 @@ _RULES = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
     "in (0, 1)": lambda v: 0 < v < 1,
+    # A synthetic log's feature dimension: its drift plane needs two axes.
+    "at least 2": lambda v: v >= 2,
     # A seed: optim.epoch_permutation packs it into 32 bits of its key.
     "in [0, 2**32)": lambda v: 0 <= v < 2**32,
 }

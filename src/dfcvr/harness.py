@@ -196,17 +196,13 @@ def _stage(name: str):
         raise
 
 
-def _load_splits(
-    config: ExperimentConfig, source: SyntheticConfig | str | None = None
-) -> tuple[Dataset, WindowSplit]:
-    """The log read from ``source`` (default ``config.data``), and its
-    windows."""
-    source = config.data if source is None else source
+def _load_splits(config: ExperimentConfig) -> tuple[Dataset, WindowSplit]:
+    """The log of ``config.data``, and its windows."""
     with _stage("data"):
-        if isinstance(source, SyntheticConfig):
-            dataset = generate_synthetic(source)
+        if isinstance(config.data, SyntheticConfig):
+            dataset = generate_synthetic(config.data)
         else:
-            dataset = load_csv(source)
+            dataset = load_csv(config.data)
         return dataset, window_split(dataset, config.t, config.t_prime,
                                      config.d_test)
 
@@ -480,7 +476,8 @@ def run_timing(config: ExperimentConfig) -> dict:
     seed = config.seeds[0]
     per_size = []
     for size in config.timing_sizes:
-        dataset, splits = _load_splits(config, replace(config.data, n=size))
+        dataset, splits = _load_splits(
+            replace(config, data=replace(config.data, n=size)))
         row: dict[str, Any] = {"n": size}
         vanilla = _train_baseline(config, splits, "vanilla", seed, row)
         _train_baseline(config, splits, "retrain", seed, row)

@@ -146,9 +146,8 @@ def build_rhs(
 class InfluenceSystem:
     """The update system of ``request``, built once and solved as often
     as needed: the right-hand side of :func:`build_rhs`, and the damped
-    curvature operator over ``dataset`` at ``theta``, which the first
-    solve of a non-zero right-hand side builds. ``build_time`` is the
-    wall time spent so far building both.
+    curvature operator over ``dataset`` at ``theta``, built together.
+    ``build_time`` is the wall time spent building both.
     """
 
     def __init__(self, spec: models.ModelSpec, theta: np.ndarray,
@@ -157,37 +156,23 @@ class InfluenceSystem:
         start = time.perf_counter()
         self.request = request
         self.rhs = build_rhs(spec, theta, dataset, view, request)
-        self._training = (spec, theta, dataset, view)
-        self._operator: solvers.DampedHessianOperator | None = None
+        self.operator = solvers.DampedHessianOperator(
+            spec, theta, dataset.features, labels_of(dataset, view),
+            lam=request.damping)
         self.build_time = time.perf_counter() - start
-
-    @property
-    def operator(self) -> solvers.DampedHessianOperator:
-        """The damped operator over the training rows, built on first use."""
-        if self._operator is None:
-            start = time.perf_counter()
-            spec, theta, dataset, view = self._training
-            self._operator = solvers.DampedHessianOperator(
-                spec, theta, dataset.features, labels_of(dataset, view),
-                lam=self.request.damping)
-            self.build_time += time.perf_counter() - start
-        return self._operator
 
     def solve(self, b: np.ndarray) -> solvers.SolveResult:
         """Solve the damped system for ``b`` with the request's solver.
 
-        A zero ``b`` short-circuits to a zero update. ``wall_time`` is
-        what this update alone costs: the shared build and this solve.
-        Raises :class:`solvers.SolverNotConvergedError`, carrying the best
+        A zero ``b`` gives a zero update. ``wall_time`` is what this
+        update alone costs: the shared build and this solve. Raises
+        :class:`solvers.SolverNotConvergedError`, carrying the best
         iterate, when the solver cannot reach its tolerance.
         """
         request = self.request
         config = (request.solver_config
                   or solvers.default_solver_config(request.solver))
-        if float(np.linalg.norm(b)) == 0.0:
-            result = solvers.SolveResult(np.zeros_like(b), None, 0, True)
-        else:
-            result = solvers.solve(request.solver, self.operator, b, config)
+        result = solvers.solve(request.solver, self.operator, b, config)
         if not result.converged:
             raise solvers.SolverNotConvergedError(
                 f"{request.solver} stopped at relative residual "

@@ -113,23 +113,22 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Conversion probabilities in [PROB_CLIP, 1 - PROB_CLIP] of an
     ``(n, input_dim)`` feature batch, one per row."""
-    return _link(_sweep(spec, params, np.asarray(x, dtype=np.float64))[3])[0]
+    return _link(_sweep(spec, params, np.asarray(x, dtype=np.float64))[2])[0]
 
 
 @dataclass
 class BatchState:
     """Forward and backward quantities at a frozen parameter vector.
 
-    ``inputs[l]`` feeds layer ``l`` (``inputs[0]`` is the feature batch),
-    ``masks[l]`` is the ReLU activity mask after hidden layer ``l``, and
-    ``deltas[l]`` is the per-sample loss derivative w.r.t. layer ``l``'s
-    pre-activation. ``h`` is the per-sample second derivative of the loss
-    in the logit. Rows can be sliced to evaluate minibatch HVPs against
-    the cached full-batch state.
+    ``inputs[l]`` feeds layer ``l`` (``inputs[0]`` is the feature batch;
+    after it, each is a ReLU output, positive exactly where its unit is
+    active), and ``deltas[l]`` is the per-sample loss derivative w.r.t.
+    layer ``l``'s pre-activation. ``h`` is the per-sample second
+    derivative of the loss in the logit. Rows can be sliced to evaluate
+    minibatch HVPs against the cached full-batch state.
     """
 
     inputs: list[np.ndarray]
-    masks: list[np.ndarray]
     deltas: list[np.ndarray]
     h: np.ndarray
     losses: np.ndarray
@@ -156,25 +155,23 @@ class GgnFactors:
 
 def _sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """The forward sweep of :func:`predict`, :func:`build_state` and
-    :func:`build_ggn_factors`: the layers, each layer's input, the ReLU
-    masks and the logits."""
+    :func:`build_ggn_factors`: the layers, each layer's input and the
+    logits. A hidden layer's ReLU mask is its output's ``> 0``: like the
+    pre-activation's, it is false at NaN and at zero of either sign."""
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ConfigError(f"feature batch has shape {x.shape}, expected "
                           f"(n, input_dim) = (n, {spec.input_dim})")
     layers = unpack_params(spec, params)
     inputs = [x]
-    masks = []
     z = x
     for w, b in layers[:-1]:
         a = z @ w.T
         a += b
-        mask = a > 0.0
         # A NaN pre-activation propagates through the ReLU.
         z = np.maximum(a, 0.0, out=a)
         inputs.append(z)
-        masks.append(mask)
     w, b = layers[-1]
-    return layers, inputs, masks, (z @ w.T + b)[:, 0]
+    return layers, inputs, (z @ w.T + b)[:, 0]
 
 
 def _link(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +186,10 @@ def _link(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
              y: np.ndarray):
     """The sweep and clamp rule on a labelled batch, with the loss and its
-    first two derivatives in the logit: layers, inputs, masks, g, h and
-    losses."""
+    first two derivatives in the logit: layers, inputs, g, h and losses."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    layers, inputs, masks, logits = _sweep(spec, params, x)
+    layers, inputs, logits = _sweep(spec, params, x)
     if y.shape != logits.shape:
         raise ConfigError("label vector length does not match the batch")
     f, smooth = _link(logits)
@@ -201,16 +197,17 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     # Where a clamp binds the coded loss is flat in the logit.
     g = np.where(smooth, f - y, 0.0)
     h = np.where(smooth, f * (1.0 - f), 0.0)
-    return layers, inputs, masks, g, h, losses
+    return layers, inputs, g, h, losses
 
 
-def _backward(layers, masks, top: np.ndarray) -> list[np.ndarray]:
+def _backward(layers, inputs, top: np.ndarray) -> list[np.ndarray]:
     """Send the per-sample logit derivative ``top`` (n, 1) back to every
-    layer's pre-activation, through the weights and the ReLU masks."""
+    layer's pre-activation, through the weights and the ReLU masks, read
+    off the hidden outputs ``inputs[1:]``."""
     out = [top]
-    for (w, _), mask in zip(layers[:0:-1], masks[::-1]):
+    for (w, _), z in zip(layers[:0:-1], inputs[:0:-1]):
         delta = out[0] @ w
-        delta *= mask
+        delta *= z > 0.0
         out.insert(0, delta)
     return out
 
@@ -218,17 +215,17 @@ def _backward(layers, masks, top: np.ndarray) -> list[np.ndarray]:
 def build_state(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> BatchState:
-    layers, inputs, masks, g, h, losses = _forward(spec, params, x, y)
-    deltas = _backward(layers, masks, g[:, None])
-    return BatchState(inputs, masks, deltas, h, losses)
+    layers, inputs, g, h, losses = _forward(spec, params, x, y)
+    deltas = _backward(layers, inputs, g[:, None])
+    return BatchState(inputs, deltas, h, losses)
 
 
 def build_ggn_factors(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> GgnFactors:
-    layers, inputs, masks, _, h, _ = _forward(spec, params, x, y)
+    layers, inputs, _, h, _ = _forward(spec, params, x, y)
     ones = np.ones((len(h), 1))
-    return GgnFactors(inputs, _backward(layers, masks, ones)[:-1], h)
+    return GgnFactors(inputs, _backward(layers, inputs, ones)[:-1], h)
 
 
 def _grad_sum(spec: ModelSpec, state: BatchState) -> np.ndarray:
@@ -276,9 +273,9 @@ def hvp_from_state(
     Uses the cached state at the parameters it was built with; ``rows``
     restricts the product to a subset of the cached batch (the mean is
     then over that subset), and None selects every cached row. The ReLU
-    second derivative vanishes almost everywhere, so only activity masks
-    from the cache are needed. Updates solve with :func:`ggn_from_factors`
-    instead; this is the tests' reference.
+    second derivative vanishes almost everywhere, so only the activity
+    masks are needed, read off the cached hidden outputs. Updates solve
+    with :func:`ggn_from_factors` instead; this is the tests' reference.
     """
     layers = unpack_params(spec, params)
     vs = unpack_params(spec, v)
@@ -286,7 +283,7 @@ def hvp_from_state(
     if rows is None:
         rows = slice(None)  # a view of every row, not a copy
     inputs = [arr[rows] for arr in state.inputs]
-    masks = [arr[rows] for arr in state.masks]
+    masks = [z > 0.0 for z in inputs[1:]]
     # deltas[0] is not read: it pairs with the all-zero input tangent.
     deltas = [np.empty(0)] + [arr[rows] for arr in state.deltas[1:]]
     h = state.h[rows]
@@ -387,23 +384,21 @@ def spec_from_header(header: dict) -> ModelSpec:
     description: checkpoint headers, experiment configs and ``dfcvr
     train`` all build their spec here.
 
-    ``"logreg"`` has no hidden layers and ignores ``hidden_dims``;
-    ``"mlp"`` needs at least one. Raises :class:`ConfigError`.
+    ``hidden_dims`` must be a list of integers wherever it is given.
+    ``"logreg"`` has no hidden layers and ignores its value; ``"mlp"``
+    needs at least one. Raises :class:`ConfigError`.
     """
     try:
         kind = header["kind"]
         if kind not in ("logreg", "mlp"):
             raise ConfigError(f"unknown model kind {kind!r}")
-        hidden = ()
-        if kind == "mlp":
-            hidden = decode(tuple[int, ...], header["hidden_dims"],
-                            "hidden_dims")
-            if not hidden:
-                raise ConfigError(
-                    'model kind "mlp" needs at least one hidden width; '
-                    'kind "logreg" has none'
-                )
-        return Mlp(decode(int, header["input_dim"], "input_dim"), hidden,
+        hidden = decode(tuple[int, ...], header.get("hidden_dims", ()),
+                        "hidden_dims")
+        if kind == "mlp" and not hidden:
+            raise ConfigError('model kind "mlp" needs at least one hidden '
+                              'width; kind "logreg" has none')
+        return Mlp(decode(int, header["input_dim"], "input_dim"),
+                   hidden if kind == "mlp" else (),
                    decode(float, header["l2_coeff"], "l2_coeff"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model header: {exc}") from None

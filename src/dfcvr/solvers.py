@@ -163,14 +163,17 @@ class _Breakdown(Exception):
 def _solve_loop(diverged: str):
     """Make a solver from a generator of its steps.
 
-    The generator yields ``(delta, norm(b - A delta))`` once per CG
+    The generator yields ``(delta, residual norm)`` once per CG
     iteration, series term or epoch, and may change ``delta`` in place
-    afterwards. The loop keeps what every solver shares: the clock, the
-    ``b = 0`` result, the residual trace, the best iterate (``delta = 0``
-    with residual 1 until a step beats it), the stop once the best
-    residual reaches the tolerance, and the verdict. The first non-finite
-    residual raises :class:`SolverError` with ``diverged``, formatted with
-    the step number; a step that raises :class:`_Breakdown` gets a
+    afterwards. sq recomputes ``norm(b - A delta)`` each epoch; cg and
+    neumann carry the residual by recurrence, equal to it in exact
+    arithmetic, and cg's drifts from it near the float64 floor. The loop
+    keeps what every solver shares: the clock, the ``b = 0`` result, the
+    residual trace, the best iterate (``delta = 0`` with residual 1 until
+    a step beats it), the stop once the best residual reaches the
+    tolerance, and the verdict. The first non-finite residual raises
+    :class:`SolverError` with ``diverged``, formatted with the step
+    number; a step that raises :class:`_Breakdown` gets a
     :class:`SolverError` with its message. Both carry the best iterate.
     """
 

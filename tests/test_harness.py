@@ -716,6 +716,12 @@ _WRONG_KIND_CONFIG = {
     "offline_fractional_seed_config": ({"seeds": [0.9]}, "seeds"),
     "offline_fractional_width_config": (
         {"model": {"input_dim": 4, "hidden_dims": [4.7]}}, "hidden_dims"),
+    "offline_logreg_string_widths_config": (
+        {"model": {"kind": "logreg", "input_dim": 4, "hidden_dims": "abc"}},
+        "hidden_dims"),
+    "offline_logreg_fractional_width_config": (
+        {"model": {"kind": "logreg", "input_dim": 4, "hidden_dims": [4.7]}},
+        "hidden_dims"),
     "offline_fractional_epochs_config": (
         {"train": {"max_epochs": 2.5}}, "train.max_epochs"),
     "offline_boolean_damping_config": ({"damping": True}, "damping"),

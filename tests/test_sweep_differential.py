@@ -62,8 +62,7 @@ def _oracle_build_state(spec, params, x, y):
     for l in range(len(layers) - 1, 0, -1):
         w_l, _ = layers[l]
         deltas[l - 1] = (deltas[l] @ w_l) * masks[l - 1]
-    return BatchState(inputs=inputs, masks=masks, deltas=deltas, h=h,
-                      losses=losses)
+    return BatchState(inputs=inputs, deltas=deltas, h=h, losses=losses)
 
 
 def _oracle_loss_and_grad(spec, params, x, y):
@@ -93,15 +92,17 @@ def _oracle_bce_grad_sum(spec, params, x, y):
 def _oracle_hvp_from_state(spec, params, state, v, rows=None):
     layers = models.unpack_params(spec, params)
     vs = models.unpack_params(spec, v)
+    # The oracle's own masks: the pre-activations' signs, from its sweep.
+    masks = _oracle_forward(spec, params, state.inputs[0],
+                            np.zeros(state.n))[2]
 
     if rows is None:
         inputs = state.inputs
-        masks = state.masks
         deltas = state.deltas
         h = state.h
     else:
         inputs = [arr[rows] for arr in state.inputs]
-        masks = [arr[rows] for arr in state.masks]
+        masks = [arr[rows] for arr in masks]
         deltas = [arr[rows] for arr in state.deltas]
         h = state.h[rows]
     n = inputs[0].shape[0]
@@ -160,7 +161,7 @@ def _same(a, b):
 
 def _same_state(new, old):
     assert new.n == old.n
-    for field in ("inputs", "masks", "deltas"):
+    for field in ("inputs", "deltas"):
         got, want = getattr(new, field), getattr(old, field)
         assert len(got) == len(want)
         for a, b in zip(got, want):
