@@ -13,10 +13,13 @@ and are cut by :meth:`Dataset.window`.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
+import hashlib
+import os
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -39,6 +42,9 @@ _SAVE_ROWS = 4096
 # load_csv scans a file for them.
 _FAST_BYTES = b"0123456789+-.e,\r\nclickpayts_f"
 _SCAN_BYTES = 1 << 20
+
+# Appended to a CSV path to name its binary twin; see save_csv.
+_TWIN_SUFFIX = ".npz"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -327,22 +333,54 @@ def save_csv(dataset: Dataset, path: str) -> None:
     Rows end in ``\\r\\n``. A float is written as its ``repr``, the shortest
     string that reads back to the same value. Rows are formatted
     :data:`_SAVE_ROWS` at a time, so the file is never held in memory whole.
+
+    When ``path`` is a regular file, its binary twin ``<path>.npz`` is
+    written too: the three columns and the SHA-256 of the bytes just
+    written, hashed as they are written. :func:`load_csv` reads the twin
+    instead of parsing while the file still holds those bytes; deleting
+    the twin only brings the parse back.
     """
+    digest = hashlib.sha256()
+    with writing(path):
+        with open(path, "wb") as fh:
+            for block in _csv_blocks(dataset):
+                raw = block.encode()
+                digest.update(raw)
+                fh.write(raw)
+        if os.path.isfile(path):
+            _save_twin(dataset, path + _TWIN_SUFFIX, digest.hexdigest())
+
+
+def _csv_blocks(dataset: Dataset) -> Iterator[str]:
+    """The header line, then the rows :data:`_SAVE_ROWS` at a time."""
     d = dataset.feature_dim
+    header = ["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)]
+    yield ",".join(header) + "\r\n"
     row = "%d,%d," + ",".join(["%r"] * d) + "\r\n"
-    with writing(path), open(path, "w", newline="") as fh:
-        header = ["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)]
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(dataset), _SAVE_ROWS):
-            rows = slice(start, start + _SAVE_ROWS)
-            fh.write("".join([
-                row % (click, pay, *feats)
-                for click, pay, feats in zip(
-                    dataset.click_ts[rows].tolist(),
-                    dataset.pay_ts[rows].tolist(),
-                    dataset.features[rows].tolist(),
-                )
-            ]))
+    for start in range(0, len(dataset), _SAVE_ROWS):
+        rows = slice(start, start + _SAVE_ROWS)
+        yield "".join([
+            row % (click, pay, *feats)
+            for click, pay, feats in zip(
+                dataset.click_ts[rows].tolist(),
+                dataset.pay_ts[rows].tolist(),
+                dataset.features[rows].tolist(),
+            )
+        ])
+
+
+def _save_twin(dataset: Dataset, twin: str, sha256: str) -> None:
+    """Write ``twin`` under a temporary name, then move it into place."""
+    tmp = twin + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, sha256=np.array(sha256), features=dataset.features,
+                     click_ts=dataset.click_ts, pay_ts=dataset.pay_ts)
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_csv(path: str) -> Dataset:
@@ -352,7 +390,15 @@ def load_csv(path: str) -> Dataset:
     wrote reproduces the dataset exactly. Hand-written files, with quoted
     fields or spaces around numbers, or a leading UTF-8 byte-order mark,
     load as well. The file must be UTF-8.
+
+    A regular file whose twin ``<path>.npz`` (see :func:`save_csv`) holds
+    the SHA-256 of the file's current bytes loads from the twin, with no
+    parse. Any other twin, missing, unreadable or stale, is ignored, as it
+    is for a pipe, and the file is parsed.
     """
+    dataset = _load_twin(path)
+    if dataset is not None:
+        return dataset
     try:
         # Bytes that are not UTF-8 decode to lone surrogates, so that the
         # row loop can name their line instead of failing mid-read.
@@ -433,6 +479,34 @@ def load_csv(path: str) -> Dataset:
         np.array(clicks, dtype=np.int64),
         np.array(pays, dtype=np.int64),
     )
+
+
+def _load_twin(path: str) -> Dataset | None:
+    """The dataset in ``path``'s twin, or ``None`` unless ``path`` is a
+    regular file whose bytes hash to the twin's digest."""
+    if not os.path.isfile(path):
+        return None
+    try:
+        with np.load(path + _TWIN_SUFFIX, allow_pickle=False) as twin:
+            if str(twin["sha256"]) != _sha256(path):
+                return None
+            dataset = Dataset(twin["features"], twin["click_ts"],
+                              twin["pay_ts"])
+    except Exception:
+        # The twin only saves a parse: a damaged zip or npy header raises
+        # errors of many types (zipfile's, numpy's, even tokenize's), and
+        # each of them just means the file is parsed.
+        return None
+    # A log without rows or features fails to parse; it must fail here too.
+    return dataset if dataset.features.size else None
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _is_utf8(fields: list[str]) -> bool:

@@ -8,6 +8,7 @@ reference raised a bare ``OverflowError`` and ``load_csv`` names the line.
 """
 
 import csv
+import os
 import re
 
 import numpy as np
@@ -172,6 +173,8 @@ def test_load_csv_agrees_with_the_row_loop(csv_path, text):
     path = csv_path
     with open(path, "w", newline="") as fh:
         fh.write(text)
+    # No twin (see save_csv): load_csv must parse the file.
+    assert not os.path.exists(path + ".npz")
     expected = _outcome(_oracle_load_csv, path)
     got = _outcome(load_csv, path)
     if expected[0] == "overflow" or "int64 range" in str(got[1]):

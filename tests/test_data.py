@@ -1,6 +1,8 @@
 """Data model tests: label views, splits, synthetic generation, CSV."""
 
+import hashlib
 import os
+import shutil
 import threading
 
 import numpy as np
@@ -329,6 +331,28 @@ class TestGenerateSynthetic:
             self._config(delay_mean_tau=0.0)
 
 
+def _save_without_twin(ds, path):
+    """Write ``ds`` to ``path`` as save_csv does, with no twin beside it,
+    so that loading ``path`` parses it."""
+    saved = path.with_name("saved_" + path.name)
+    save_csv(ds, str(saved))
+    shutil.copyfile(saved, path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The results of every ``_parse_body`` call made by ``load_csv``."""
+    numpy_parse = data._parse_body
+    parsed = []
+
+    def parse_body(fh, d):
+        parsed.append(numpy_parse(fh, d))
+        return parsed[-1]
+
+    monkeypatch.setattr(data, "_parse_body", parse_body)
+    return parsed
+
+
 class TestCsvRoundTrip:
     def test_roundtrip_identity(self, tmp_path):
         ds = generate_synthetic(
@@ -438,20 +462,12 @@ class TestCsvRoundTrip:
             load_csv(str(path))
         assert str(info.value) == f"{path}:{lineno}: {message}"
 
-    def test_saved_file_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+    def test_saved_file_is_parsed_by_numpy(self, tmp_path, parses):
         ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
-        path = str(tmp_path / "data.csv")
-        save_csv(ds, path)
-        numpy_parse = data._parse_body
-        parsed = []
-
-        def parse_body(fh, d):
-            parsed.append(numpy_parse(fh, d))
-            return parsed[-1]
-
-        monkeypatch.setattr(data, "_parse_body", parse_body)
-        loaded = load_csv(path)
-        assert parsed[0] is loaded
+        path = tmp_path / "data.csv"
+        _save_without_twin(ds, path)
+        loaded = load_csv(str(path))
+        assert parses[0] is loaded
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
 
@@ -460,23 +476,15 @@ class TestCsvRoundTrip:
         ("100,-1,1e400", "non-finite feature value"),
     ])
     def test_rows_dataset_rejects_go_to_the_row_loop(
-        self, tmp_path, monkeypatch, bad_row, message
+        self, tmp_path, parses, bad_row, message
     ):
         # numpy reads these rows; Dataset rejects the columns it returns.
         path = tmp_path / "data.csv"
         path.write_bytes(f"click_ts,pay_ts,f0\r\n5,-1,0.25\r\n{bad_row}\r\n"
                          .encode())
-        numpy_parse = data._parse_body
-        parsed = []
-
-        def parse_body(fh, d):
-            parsed.append(numpy_parse(fh, d))
-            return parsed[-1]
-
-        monkeypatch.setattr(data, "_parse_body", parse_body)
         with pytest.raises(DataFormatError) as info:
             load_csv(str(path))
-        assert parsed == [None]
+        assert parses == [None]
         assert str(info.value) == f"{path}:3: {message}"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -486,6 +494,12 @@ class TestCsvRoundTrip:
         save_csv(ds, str(path))
         fifo = tmp_path / "clicks.fifo"
         os.mkfifo(fifo)
+        # A pipe never reads a twin, even one whose digest matches the
+        # piped bytes and whose columns do not.
+        np.savez(tmp_path / "clicks.fifo.npz", sha256=np.array(
+            hashlib.sha256(path.read_bytes()).hexdigest()),
+            features=ds.features + 1.0, click_ts=ds.click_ts,
+            pay_ts=ds.pay_ts)
         writer = threading.Thread(
             target=fifo.write_bytes, args=(path.read_bytes(),)
         )
@@ -497,28 +511,20 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
 
     @pytest.mark.parametrize("numpy_path", [True, False])
-    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch,
+    def test_byte_order_mark_is_skipped(self, tmp_path, parses,
                                         numpy_path):
         ds = _dataset(np.arange(0, 600, 3), np.full(200, PAY_TS_MISSING))
         plain = tmp_path / "plain.csv"
-        save_csv(ds, str(plain))
+        _save_without_twin(ds, plain)
         body = plain.read_bytes()
         if not numpy_path:  # a space makes the file one for the row loop
             body = body.replace(b",-1,", b", -1,", 1)
             plain.write_bytes(body)
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + body)
-        numpy_parse = data._parse_body
-        parsed = []
-
-        def parse_body(fh, d):
-            parsed.append(numpy_parse(fh, d))
-            return parsed[-1]
-
-        monkeypatch.setattr(data, "_parse_body", parse_body)
         want = load_csv(str(plain))
         got = load_csv(str(marked))
-        assert [p is not None for p in parsed] == [numpy_path] * 2
+        assert [p is not None for p in parses] == [numpy_path] * 2
         assert got.features.tobytes() == want.features.tobytes()
         assert got.click_ts.tobytes() == want.click_ts.tobytes()
         assert got.pay_ts.tobytes() == want.pay_ts.tobytes()
@@ -534,3 +540,115 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError) as err:
             load_csv(str(path))
         assert str(err.value) == f"{path}:{lineno}: not valid UTF-8"
+
+
+def _same(got, want):
+    """True if the two datasets hold the same bytes in every column."""
+    return all(getattr(got, col).tobytes() == getattr(want, col).tobytes()
+               for col in ("features", "click_ts", "pay_ts"))
+
+
+class TestCsvTwin:
+    """``save_csv`` writes ``<path>.npz``; ``load_csv`` reads it only while
+    its digest matches the file's bytes."""
+
+    def _saved(self, tmp_path):
+        ds = generate_synthetic(SyntheticConfig(
+            n=500, feature_dim=4, target_cvr=0.3, delay_mean_tau=1000.0,
+            horizon=10_000, seed=5))
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        return ds, path
+
+    def test_twin_loads_byte_identical_without_a_parse(self, tmp_path,
+                                                       monkeypatch):
+        ds, path = self._saved(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]
+        with np.load(str(path) + ".npz") as twin:
+            assert str(twin["sha256"]) == hashlib.sha256(
+                path.read_bytes()).hexdigest()
+        parsed_copy = tmp_path / "copy.csv"
+        shutil.copyfile(path, parsed_copy)
+        parsed = load_csv(str(parsed_copy))
+
+        def no_parse(fh, d):
+            raise AssertionError("the twin was not used")
+
+        monkeypatch.setattr(data, "_parse_body", no_parse)
+        loaded = load_csv(str(path))
+        assert _same(loaded, ds) and _same(loaded, parsed)
+        assert not loaded.features.flags.writeable
+
+    def test_a_second_save_replaces_the_twin(self, tmp_path, parses):
+        self._saved(tmp_path)
+        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
+        save_csv(ds, str(tmp_path / "data.csv"))
+        assert _same(load_csv(str(tmp_path / "data.csv")), ds)
+        assert parses == []
+
+    def test_an_edited_byte_loads_the_edit(self, tmp_path, parses):
+        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        path.write_bytes(
+            path.read_bytes().replace(b"\r\n5,-1,", b"\r\n6,-1,"))
+        loaded = load_csv(str(path))
+        assert [p is loaded for p in parses] == [True]
+        np.testing.assert_array_equal(loaded.click_ts, [0, 6, 9])
+        assert loaded.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "wrong_digest", "missing_column", "not_a_zip",
+        "directory",
+    ])
+    def test_a_damaged_twin_is_parsed_past(self, tmp_path, parses, damage):
+        ds, path = self._saved(tmp_path)
+        twin = tmp_path / "data.csv.npz"
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        # Columns that differ from the file's, so a twin used shows.
+        wrong = {"features": ds.features + 1.0, "click_ts": ds.click_ts,
+                 "pay_ts": ds.pay_ts}
+        if damage == "truncated":
+            twin.write_bytes(twin.read_bytes()[:-100])
+        elif damage == "wrong_digest":
+            np.savez(twin, sha256=np.array("0" * 64), **wrong)
+        elif damage == "missing_column":
+            del wrong["pay_ts"]
+            np.savez(twin, sha256=np.array(digest), **wrong)
+        elif damage == "not_a_zip":
+            twin.write_bytes(b"not a zip")
+        else:
+            twin.unlink()
+            twin.mkdir()
+        loaded = load_csv(str(path))
+        assert [p is loaded for p in parses] == [True]
+        assert _same(loaded, ds)
+
+    def test_a_twin_of_an_empty_log_loads_nothing(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_csv(_dataset([], []), str(path))
+        with pytest.raises(DataFormatError, match=":1: no data rows"):
+            load_csv(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_pipe_gets_no_twin(self, tmp_path):
+        ds, path = self._saved(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(
+            fifo.read_bytes()))
+        reader.start()
+        save_csv(ds, str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert read == [path.read_bytes()]
+        assert not (tmp_path / "out.fifo.npz").exists()
+
+    def test_an_unwritable_twin_is_a_write_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        (tmp_path / "data.csv.npz").mkdir()
+        with pytest.raises(DataFormatError) as info:
+            save_csv(_dataset([0], [PAY_TS_MISSING]), str(path))
+        assert str(info.value).startswith(f"{path}: cannot write: ")
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]

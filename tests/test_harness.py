@@ -12,7 +12,7 @@ import pytest
 import dfcvr
 from dfcvr import cli, data, harness, influence, models, solvers
 from dfcvr.data import SyntheticConfig
-from dfcvr.errors import ConfigError
+from dfcvr.errors import ConfigError, DataFormatError
 from dfcvr.training import TrainConfig
 
 DAY = 86400
@@ -425,6 +425,26 @@ class TestCompareSolvers:
         solvers_seen = {line.split(",")[0] for line in content[1:]}
         assert solvers_seen == {"cg", "neumann", "sq"}
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_diverged_kind_is_reported_and_the_rest_still_run(
+        self, tmp_path
+    ):
+        # Only sq reads the learning rate; at 1e300 its first epoch
+        # overflows.
+        config = _tiny_config(
+            output_dir=str(tmp_path),
+            solver_config=solvers.SolverConfig(learning_rate=1e300))
+        report = harness.compare_solvers(config)
+        assert report["solvers"]["sq"] == {
+            "error": "stochastic quadratic solve diverged at epoch 1; "
+                     "lower the learning rate"}
+        for kind in ("cg", "neumann"):
+            assert report["solvers"][kind]["converged"], kind
+        content = (tmp_path / "solver_traces.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in content[1:]} == {
+            "cg", "neumann"}
+
 
 def _write_csv(tmp_path, n=3000, seed=0):
     path = str(tmp_path / "clicks.csv")
@@ -644,6 +664,9 @@ def _bad_input_argv(case, tmp_path):
         "update_nan_damping": [*update, "--damping", "nan"],
         "update_inf_damping": [*update, "--damping", "inf"],
         "update_nan_tol": [*update, "--tol", "nan"],
+        "update_train_end_zero": [*update, "--train-end", "0"],
+        "update_train_end_beyond_t": [*update, "--train-end", str(9 * DAY)],
+        "update_no_clicks_before_train_end": [*update, "--train-end", "1"],
         "update_sq_nan_learning_rate": [
             *update, "--solver", "sq", "--solver-learning-rate", "nan"],
         "train_nan_learning_rate": [*train, "--learning-rate", "nan"],
@@ -707,6 +730,14 @@ _OUT_OF_RANGE_SETTING = {
 }
 
 
+# Bad-input cases for the update's training window, and their messages.
+_TRAIN_END = {
+    "update_train_end_zero": "error: train-end must lie in (0, t]",
+    "update_train_end_beyond_t": "error: train-end must lie in (0, t]",
+    "update_no_clicks_before_train_end": "error: no samples before train-end",
+}
+
+
 # Bad-input cases that give a config setting a value of the wrong JSON
 # kind, as the keys they override, and the field the error must name. An
 # integer setting takes only an integer and a number setting an integer or
@@ -748,7 +779,7 @@ class TestCliExitCodes:
         "update_out_in_missing_dir", "update_report_in_missing_dir",
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
-        *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG,
+        *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG, *_TRAIN_END,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -765,6 +796,30 @@ class TestCliExitCodes:
             assert f"{_OUT_OF_RANGE_SETTING[case]} must be finite" in err
         if case in _WRONG_KIND_CONFIG:
             assert f"error: {_WRONG_KIND_CONFIG[case][1]} must be " in err
+        if case in _TRAIN_END:
+            assert err == f"dfcvr: {_TRAIN_END[case]}\n"
+
+    @pytest.mark.parametrize("protocol", ["offline", "online",
+                                          "compare-solvers"])
+    def test_missing_csv_in_a_config_fails_in_stage_data(
+        self, tmp_path, capsys, protocol
+    ):
+        missing = str(tmp_path / "missing.csv")
+        config = _tiny_config(
+            data=missing, model=models.LogisticRegression(input_dim=4))
+        run = {"offline": harness.run_offline, "online": harness.run_online,
+               "compare-solvers": harness.compare_solvers}[protocol]
+        with pytest.raises(DataFormatError) as info:
+            run(config)
+        assert info.value.stage == "data"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_json_dict()))
+        capsys.readouterr()
+        assert cli.main([protocol, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"dfcvr: error in stage 'data': {missing}: cannot read: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"
