@@ -13,13 +13,9 @@ and are cut by :meth:`Dataset.window`.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
-import hashlib
-import os
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -39,12 +35,22 @@ _INT64_MAX = np.iinfo(np.int64).max
 _SAVE_ROWS = 4096
 
 # The bytes save_csv writes, header included, and the block size in which
-# load_csv scans a file for them.
+# load_csv parses a file.
 _FAST_BYTES = b"0123456789+-.e,\r\nclickpayts_f"
-_SCAN_BYTES = 1 << 20
+_SCAN_BYTES = 1 << 18
 
-# Appended to a CSV path to name its binary twin; see save_csv.
-_TWIN_SUFFIX = ".npz"
+# A field parsed in bulk holds at most 18 digits after a leading zero, so
+# that they fit an int64, and a feature at most 18 after its point.
+_MAX_DIGITS = 18
+# An x87 or IEEE-quad longdouble holds every such integer m and rounds
+# m / 10**k once; the double read off that is float()'s unless it lies
+# halfway between two doubles. With a double, only m <= 2**53 is exact.
+_WIDE = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)],
+                  np.longdouble if _WIDE else np.float64)
+_COMMA, _LF, _CR, _MINUS, _DOT, _PLUS, _ZERO, _NINE = b",\n\r-.+09"
+# Separators to spaces and points dropped: the digits of each field.
+_DIGITS_ONLY = (bytes.maketrans(b",\r", b"  "), b".")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -333,54 +339,22 @@ def save_csv(dataset: Dataset, path: str) -> None:
     Rows end in ``\\r\\n``. A float is written as its ``repr``, the shortest
     string that reads back to the same value. Rows are formatted
     :data:`_SAVE_ROWS` at a time, so the file is never held in memory whole.
-
-    When ``path`` is a regular file, its binary twin ``<path>.npz`` is
-    written too: the three columns and the SHA-256 of the bytes just
-    written, hashed as they are written. :func:`load_csv` reads the twin
-    instead of parsing while the file still holds those bytes; deleting
-    the twin only brings the parse back.
     """
-    digest = hashlib.sha256()
-    with writing(path):
-        with open(path, "wb") as fh:
-            for block in _csv_blocks(dataset):
-                raw = block.encode()
-                digest.update(raw)
-                fh.write(raw)
-        if os.path.isfile(path):
-            _save_twin(dataset, path + _TWIN_SUFFIX, digest.hexdigest())
-
-
-def _csv_blocks(dataset: Dataset) -> Iterator[str]:
-    """The header line, then the rows :data:`_SAVE_ROWS` at a time."""
     d = dataset.feature_dim
-    header = ["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)]
-    yield ",".join(header) + "\r\n"
     row = "%d,%d," + ",".join(["%r"] * d) + "\r\n"
-    for start in range(0, len(dataset), _SAVE_ROWS):
-        rows = slice(start, start + _SAVE_ROWS)
-        yield "".join([
-            row % (click, pay, *feats)
-            for click, pay, feats in zip(
-                dataset.click_ts[rows].tolist(),
-                dataset.pay_ts[rows].tolist(),
-                dataset.features[rows].tolist(),
-            )
-        ])
-
-
-def _save_twin(dataset: Dataset, twin: str, sha256: str) -> None:
-    """Write ``twin`` under a temporary name, then move it into place."""
-    tmp = twin + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, sha256=np.array(sha256), features=dataset.features,
-                     click_ts=dataset.click_ts, pay_ts=dataset.pay_ts)
-        os.replace(tmp, twin)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with writing(path), open(path, "w", newline="") as fh:
+        header = ["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)]
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(dataset), _SAVE_ROWS):
+            rows = slice(start, start + _SAVE_ROWS)
+            fh.write("".join([
+                row % (click, pay, *feats)
+                for click, pay, feats in zip(
+                    dataset.click_ts[rows].tolist(),
+                    dataset.pay_ts[rows].tolist(),
+                    dataset.features[rows].tolist(),
+                )
+            ]))
 
 
 def load_csv(path: str) -> Dataset:
@@ -390,15 +364,7 @@ def load_csv(path: str) -> Dataset:
     wrote reproduces the dataset exactly. Hand-written files, with quoted
     fields or spaces around numbers, or a leading UTF-8 byte-order mark,
     load as well. The file must be UTF-8.
-
-    A regular file whose twin ``<path>.npz`` (see :func:`save_csv`) holds
-    the SHA-256 of the file's current bytes loads from the twin, with no
-    parse. Any other twin, missing, unreadable or stale, is ignored, as it
-    is for a pipe, and the file is parsed.
     """
-    dataset = _load_twin(path)
-    if dataset is not None:
-        return dataset
     try:
         # Bytes that are not UTF-8 decode to lone surrogates, so that the
         # row loop can name their line instead of failing mid-read.
@@ -481,34 +447,6 @@ def load_csv(path: str) -> Dataset:
     )
 
 
-def _load_twin(path: str) -> Dataset | None:
-    """The dataset in ``path``'s twin, or ``None`` unless ``path`` is a
-    regular file whose bytes hash to the twin's digest."""
-    if not os.path.isfile(path):
-        return None
-    try:
-        with np.load(path + _TWIN_SUFFIX, allow_pickle=False) as twin:
-            if str(twin["sha256"]) != _sha256(path):
-                return None
-            dataset = Dataset(twin["features"], twin["click_ts"],
-                              twin["pay_ts"])
-    except Exception:
-        # The twin only saves a parse: a damaged zip or npy header raises
-        # errors of many types (zipfile's, numpy's, even tokenize's), and
-        # each of them just means the file is parsed.
-        return None
-    # A log without rows or features fails to parse; it must fail here too.
-    return dataset if dataset.features.size else None
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BYTES):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _is_utf8(fields: list[str]) -> bool:
     """False if the fields hold bytes that did not decode as UTF-8."""
     try:
@@ -519,51 +457,115 @@ def _is_utf8(fields: list[str]) -> bool:
 
 
 def _parse_body(fh: TextIO, d: int) -> Dataset | None:
-    """Parse the rows after the header with numpy, or return ``None``.
+    """Parse the rows after the header in bulk, or return ``None``.
 
     ``None`` hands the file to the row loop in :func:`load_csv`, the only
-    reader that names a bad line. numpy's result is returned only where it
-    must equal that loop's: the file holds only bytes in :data:`_FAST_BYTES`
-    (numpy reads some other bytes that ``int``/``float`` reject), its only
-    line ends are ``\\n`` and ``\\r\\n`` (the csv module also ends a row
-    at a lone ``\\r``), numpy found one row per line (it skips blank lines,
-    which the loop rejects), and :class:`Dataset` accepts the columns (its
-    checks accept what the loop accepts). ``fh`` is at the file's start; a
-    byte-order mark there is skipped, as the text layer skips it.
+    reader that names a bad line. The bulk parse returns only what that
+    loop would: the header is exactly ``click_ts,pay_ts,f0,...``, the rows
+    go block by block through :func:`_parse_rows`, and :class:`Dataset`
+    accepts the columns (its checks accept what the loop accepts). ``fh``
+    is at the file's start; a byte-order mark there is skipped, as the
+    text layer skips it.
     """
     raw = fh.buffer
     if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         raw.seek(0)
-    n_lf = n_cr = n_crlf = 0
-    last = b""
-    while block := raw.read(_SCAN_BYTES):
-        if block.endswith(b"\r"):
-            block += raw.read(1)
-        if block.translate(None, _FAST_BYTES):
-            return None
-        n_lf += block.count(b"\n")
-        n_cr += block.count(b"\r")
-        n_crlf += block.count(b"\r\n")
-        last = block
-    # Lines after the header; the last one may lack its newline.
-    n_rows = n_lf - (1 if last.endswith(b"\n") else 0)
-    if n_cr != n_crlf or n_rows < 1:
+    header = ",".join(["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)])
+    if raw.readline().decode("ascii", "replace") not in (
+            header + "\r\n", header + "\n"):
         return None
-    fh.seek(0)
-    fh.readline()
-    dtype = [("c", "i8"), ("p", "i8"), ("f", "f8", (d,))]
+    blocks, tail = [], b""
+    while block := raw.read(_SCAN_BYTES):
+        lines, newline, tail = (tail + block).rpartition(b"\n")
+        if newline:
+            blocks.append(_parse_rows(lines + newline, d))
+            if blocks[-1] is None:
+                return None
+    if tail:  # the last line lacks its newline
+        blocks.append(_parse_rows(tail + b"\n", d))
+    if not blocks or blocks[-1] is None:
+        return None
     try:
-        with warnings.catch_warnings():
-            # A warning marks input read loosely: older numpy reads "5.0"
-            # as an int with a DeprecationWarning, and blank lines alone
-            # give a UserWarning.
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                fh, delimiter=",", comments=None, quotechar=None,
-                dtype=dtype, ndmin=1,
-            )
-        if table.shape[0] == n_rows:
-            return Dataset(table["f"], table["c"], table["p"])
-    except (ValueError, Warning, DataFormatError):
-        pass
-    return None
+        return Dataset(*(np.concatenate(cols) for cols in zip(*blocks)))
+    except DataFormatError:
+        return None
+
+
+def _parse_rows(
+    lines: bytes, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The features, click and pay columns of ``lines``, each line ending
+    in ``\\n``, or ``None`` where the row loop must judge them.
+
+    The lines must hold only bytes in :data:`_FAST_BYTES`, with ``\\r``
+    only before ``\\n`` (the csv module also ends a row at a lone ``\\r``),
+    and ``d + 2`` non-empty fields each. A field of digits, within
+    :data:`_MAX_DIGITS` and after an optional ``-``, with no point in a
+    timestamp and at most one in a feature, is read in bulk: its digits
+    as one int64, then, for a feature, that integer over a power of ten in
+    longdouble (see :data:`_WIDE`). Every other field, and a feature
+    halfway between two doubles, is read by ``int`` or ``float`` as the
+    row loop reads it; one that they reject, or a timestamp beyond int64,
+    gives ``None``.
+    """
+    letters = lines.translate(None, b"0123456789,-.\r\n")
+    if letters.translate(None, _FAST_BYTES):
+        return None
+    a = np.frombuffer(lines, np.uint8)
+    seps = np.flatnonzero((a == _COMMA) | (a == _LF))
+    width = d + 2
+    row_seps = np.array([_COMMA] * (d + 1) + [_LF], np.uint8)
+    if (len(seps) % width
+            or not (a[seps].reshape(-1, width) == row_seps).all()):
+        return None
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    ends = seps.copy()
+    crlf = a[seps[width - 1::width] - 1] == _CR
+    ends[width - 1::width] -= crlf
+    neg = a[starts] == _MINUS
+    # Letters, 'e' included, and '+'; a '-' after none of them must start
+    # its field, or the field is no number.
+    other = np.flatnonzero((a > _NINE) | (a == _PLUS) if letters else [])
+    if (np.count_nonzero(a == _CR) != crlf.sum()
+            or not (ends - starts).all()
+            or np.count_nonzero(a == _MINUS)
+            != neg.sum() + (a[other + 1] == _MINUS).sum()):
+        return None
+    is_ts = np.tile(np.arange(width) < 2, len(seps) // width)
+    dots = np.flatnonzero(a == _DOT)
+    owner = np.searchsorted(ends, dots)
+    n_dots = np.bincount(owner, minlength=len(ends))
+    n_digits = ends - starts - neg - n_dots
+    odd = (n_dots > ~is_ts) | (n_digits < 1) | (
+        n_digits - (a[starts + neg] == _ZERO) > _MAX_DIGITS)
+    odd[np.searchsorted(ends, other)] = True
+    scale = np.zeros(len(ends), np.intp)
+    scale[owner] = ends[owner] - dots - 1
+    scale[odd] = 0
+    text = bytearray(lines)
+    for start, stop in zip(starts[odd].tolist(), ends[odd].tolist()):
+        text[start:stop] = b"0" * (stop - start)
+    ints = np.fromstring(bytes(text).translate(*_DIGITS_ONLY), np.int64,
+                         sep=" ")
+    exact = ints.astype(_POW10.dtype) / _POW10[scale]
+    feats = exact.astype(np.float64)
+    # exact lies halfway between feats and a neighbour just where
+    # 2 exact - feats is that neighbour, a double other than feats. A
+    # zero's sign, as in "-0.0", is float()'s to give.
+    halfway = 2 * exact - feats
+    redo = odd | ~is_ts & ((halfway != feats) & (
+        halfway.astype(np.float64) == halfway) | neg & (ints == 0))
+    if not _WIDE:
+        redo |= ~is_ts & (np.abs(ints) > 2**53)
+    for i in np.flatnonzero(redo).tolist():
+        field = lines[starts[i]:ends[i]]
+        try:
+            if is_ts[i]:
+                ints[i] = int(field)
+            else:
+                feats[i] = float(field)
+        except (ValueError, OverflowError):
+            return None
+    # Copies, so that the blocks' int64 fields are not all kept alive.
+    click_ts, pay_ts = ints.reshape(-1, width)[:, :2].T.copy()
+    return feats.reshape(-1, width)[:, 2:], click_ts, pay_ts

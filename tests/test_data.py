@@ -1,8 +1,6 @@
 """Data model tests: label views, splits, synthetic generation, CSV."""
 
-import hashlib
 import os
-import shutil
 import threading
 
 import numpy as np
@@ -331,14 +329,6 @@ class TestGenerateSynthetic:
             self._config(delay_mean_tau=0.0)
 
 
-def _save_without_twin(ds, path):
-    """Write ``ds`` to ``path`` as save_csv does, with no twin beside it,
-    so that loading ``path`` parses it."""
-    saved = path.with_name("saved_" + path.name)
-    save_csv(ds, str(saved))
-    shutil.copyfile(saved, path)
-
-
 @pytest.fixture
 def parses(monkeypatch):
     """The results of every ``_parse_body`` call made by ``load_csv``."""
@@ -464,9 +454,9 @@ class TestCsvRoundTrip:
 
     def test_saved_file_is_parsed_by_numpy(self, tmp_path, parses):
         ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
-        path = tmp_path / "data.csv"
-        _save_without_twin(ds, path)
-        loaded = load_csv(str(path))
+        path = str(tmp_path / "data.csv")
+        save_csv(ds, path)
+        loaded = load_csv(path)
         assert parses[0] is loaded
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.pay_ts, ds.pay_ts)
@@ -494,12 +484,6 @@ class TestCsvRoundTrip:
         save_csv(ds, str(path))
         fifo = tmp_path / "clicks.fifo"
         os.mkfifo(fifo)
-        # A pipe never reads a twin, even one whose digest matches the
-        # piped bytes and whose columns do not.
-        np.savez(tmp_path / "clicks.fifo.npz", sha256=np.array(
-            hashlib.sha256(path.read_bytes()).hexdigest()),
-            features=ds.features + 1.0, click_ts=ds.click_ts,
-            pay_ts=ds.pay_ts)
         writer = threading.Thread(
             target=fifo.write_bytes, args=(path.read_bytes(),)
         )
@@ -515,7 +499,7 @@ class TestCsvRoundTrip:
                                         numpy_path):
         ds = _dataset(np.arange(0, 600, 3), np.full(200, PAY_TS_MISSING))
         plain = tmp_path / "plain.csv"
-        _save_without_twin(ds, plain)
+        save_csv(ds, str(plain))
         body = plain.read_bytes()
         if not numpy_path:  # a space makes the file one for the row loop
             body = body.replace(b",-1,", b", -1,", 1)
@@ -542,113 +526,86 @@ class TestCsvRoundTrip:
         assert str(err.value) == f"{path}:{lineno}: not valid UTF-8"
 
 
-def _same(got, want):
-    """True if the two datasets hold the same bytes in every column."""
-    return all(getattr(got, col).tobytes() == getattr(want, col).tobytes()
-               for col in ("features", "click_ts", "pay_ts"))
+def _decimals(rng, n):
+    """Plain decimals ``-?D+(.D+)?`` of 1 to 40 digits, most with a point."""
+    out = []
+    for _ in range(n):
+        whole = "".join(rng.choice(list("0123456789"), rng.integers(1, 21)))
+        text = "-" * int(rng.integers(2)) + whole
+        if rng.random() < 0.9:
+            text += "." + "".join(
+                rng.choice(list("0123456789"), rng.integers(1, 21)))
+        out.append(text)
+    return out
 
 
-class TestCsvTwin:
-    """``save_csv`` writes ``<path>.npz``; ``load_csv`` reads it only while
-    its digest matches the file's bytes."""
+# Decimals halfway between two doubles (float() rounds them to even), a
+# zero's sign, and leading zeros beyond the 18-digit bound.
+_HALFWAY_AND_SIGNS = [
+    "9007199254740993", "-9007199254740995", "4503599627370496.5",
+    "-4503599627370497.5", "0.5", "-0.0", "-0", "0", "0000000000000000001.5",
+    "-0.000000000000000000001", "123456789012345678.5",
+]
 
-    def _saved(self, tmp_path):
-        ds = generate_synthetic(SyntheticConfig(
-            n=500, feature_dim=4, target_cvr=0.3, delay_mean_tau=1000.0,
-            horizon=10_000, seed=5))
+
+class TestBulkParse:
+    """``_parse_rows`` reads each field as ``int`` or ``float`` reads it."""
+
+    def _features(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        doubles = np.concatenate([
+            bits[np.isfinite(bits)], rng.standard_normal(20_000),
+            rng.uniform(-1e5, 1e5, 5_000), rng.uniform(-1e-5, 1e-5, 5_000),
+        ])
+        fields = ([repr(x) for x in doubles.tolist()]
+                  + _decimals(rng, 20_000) + _HALFWAY_AND_SIGNS)
+        return fields + ["0.0"] * (-len(fields) % 4)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_features_read_as_float_reads_them(self, tmp_path, parses,
+                                               monkeypatch, wide):
+        if not wide:  # as where longdouble is a double
+            monkeypatch.setattr(data, "_WIDE", False)
+            monkeypatch.setattr(data, "_POW10",
+                                data._POW10.astype(np.float64))
+        elif not data._WIDE:
+            pytest.skip("longdouble is not wider than a double here")
+        fields = self._features()
+        rows = [",".join(["5", "-1"] + fields[i:i + 4])
+                for i in range(0, len(fields), 4)]
+        path = tmp_path / "data.csv"
+        path.write_text("click_ts,pay_ts,f0,f1,f2,f3\r\n"
+                        + "\r\n".join(rows) + "\r\n")
+        loaded = load_csv(str(path))
+        assert parses[0] is loaded
+        want = np.array([float(f) for f in fields])
+        assert loaded.features.ravel().tobytes() == want.tobytes()
+
+    def test_timestamps_read_as_int_reads_them(self, tmp_path, parses):
+        clicks = ["0", "-0", "007", "0000000000000000000000042",
+                  "999999999999999999", "9223372036854775807"]
+        path = tmp_path / "data.csv"
+        path.write_text("click_ts,pay_ts,f0\n" + "".join(
+            f"{c},{c},0.5\n" for c in clicks))
+        loaded = load_csv(str(path))
+        assert parses[0] is loaded
+        assert loaded.click_ts.tolist() == [int(c) for c in clicks]
+        assert loaded.pay_ts.tolist() == [int(c) for c in clicks]
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_any_block_size_reads_the_same(self, tmp_path, parses,
+                                           monkeypatch, block):
+        ds = _dataset(np.arange(0, 900, 3), np.full(300, PAY_TS_MISSING))
         path = tmp_path / "data.csv"
         save_csv(ds, str(path))
-        return ds, path
-
-    def test_twin_loads_byte_identical_without_a_parse(self, tmp_path,
-                                                       monkeypatch):
-        ds, path = self._saved(tmp_path)
-        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]
-        with np.load(str(path) + ".npz") as twin:
-            assert str(twin["sha256"]) == hashlib.sha256(
-                path.read_bytes()).hexdigest()
-        parsed_copy = tmp_path / "copy.csv"
-        shutil.copyfile(path, parsed_copy)
-        parsed = load_csv(str(parsed_copy))
-
-        def no_parse(fh, d):
-            raise AssertionError("the twin was not used")
-
-        monkeypatch.setattr(data, "_parse_body", no_parse)
+        # Mixed line ends, and no newline after the last row.
+        body = path.read_bytes().replace(b"\r\n", b"\n", 100)[:-2]
+        path.write_bytes(body)
+        monkeypatch.setattr(data, "_SCAN_BYTES", block)
         loaded = load_csv(str(path))
-        assert _same(loaded, ds) and _same(loaded, parsed)
-        assert not loaded.features.flags.writeable
-
-    def test_a_second_save_replaces_the_twin(self, tmp_path, parses):
-        self._saved(tmp_path)
-        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
-        save_csv(ds, str(tmp_path / "data.csv"))
-        assert _same(load_csv(str(tmp_path / "data.csv")), ds)
-        assert parses == []
-
-    def test_an_edited_byte_loads_the_edit(self, tmp_path, parses):
-        ds = _dataset([0, 5, 9], [7, PAY_TS_MISSING, 9])
-        path = tmp_path / "data.csv"
-        save_csv(ds, str(path))
-        path.write_bytes(
-            path.read_bytes().replace(b"\r\n5,-1,", b"\r\n6,-1,"))
-        loaded = load_csv(str(path))
-        assert [p is loaded for p in parses] == [True]
-        np.testing.assert_array_equal(loaded.click_ts, [0, 6, 9])
+        assert parses[0] is loaded
         assert loaded.features.tobytes() == ds.features.tobytes()
-
-    @pytest.mark.parametrize("damage", [
-        "truncated", "wrong_digest", "missing_column", "not_a_zip",
-        "directory",
-    ])
-    def test_a_damaged_twin_is_parsed_past(self, tmp_path, parses, damage):
-        ds, path = self._saved(tmp_path)
-        twin = tmp_path / "data.csv.npz"
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        # Columns that differ from the file's, so a twin used shows.
-        wrong = {"features": ds.features + 1.0, "click_ts": ds.click_ts,
-                 "pay_ts": ds.pay_ts}
-        if damage == "truncated":
-            twin.write_bytes(twin.read_bytes()[:-100])
-        elif damage == "wrong_digest":
-            np.savez(twin, sha256=np.array("0" * 64), **wrong)
-        elif damage == "missing_column":
-            del wrong["pay_ts"]
-            np.savez(twin, sha256=np.array(digest), **wrong)
-        elif damage == "not_a_zip":
-            twin.write_bytes(b"not a zip")
-        else:
-            twin.unlink()
-            twin.mkdir()
-        loaded = load_csv(str(path))
-        assert [p is loaded for p in parses] == [True]
-        assert _same(loaded, ds)
-
-    def test_a_twin_of_an_empty_log_loads_nothing(self, tmp_path):
-        path = tmp_path / "data.csv"
-        save_csv(_dataset([], []), str(path))
-        with pytest.raises(DataFormatError, match=":1: no data rows"):
-            load_csv(str(path))
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-    def test_a_pipe_gets_no_twin(self, tmp_path):
-        ds, path = self._saved(tmp_path)
-        fifo = tmp_path / "out.fifo"
-        os.mkfifo(fifo)
-        read = []
-        reader = threading.Thread(target=lambda: read.append(
-            fifo.read_bytes()))
-        reader.start()
-        save_csv(ds, str(fifo))
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        assert read == [path.read_bytes()]
-        assert not (tmp_path / "out.fifo.npz").exists()
-
-    def test_an_unwritable_twin_is_a_write_error(self, tmp_path):
-        path = tmp_path / "data.csv"
-        (tmp_path / "data.csv.npz").mkdir()
-        with pytest.raises(DataFormatError) as info:
-            save_csv(_dataset([0], [PAY_TS_MISSING]), str(path))
-        assert str(info.value).startswith(f"{path}: cannot write: ")
-        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.npz"]
+        assert loaded.click_ts.tobytes() == ds.click_ts.tobytes()
+        assert loaded.pay_ts.tobytes() == ds.pay_ts.tobytes()
