@@ -36,7 +36,7 @@ from .influence import (
     build_rhs,
     delta_total,
 )
-from .metrics import MethodMetrics, auc, log_loss, prauc, ri
+from .metrics import auc, log_loss, prauc, ri
 from .models import (
     LogisticRegression,
     Mlp,
@@ -66,7 +66,6 @@ __all__ = [
     "InfluenceRequest",
     "LabelView",
     "LogisticRegression",
-    "MethodMetrics",
     "Mlp",
     "ModelSpec",
     "NumericalError",

@@ -253,8 +253,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     spec, params, dataset = _load_model_and_data(args)
     test = dataset.window(args.t_prime, args.t_prime + args.d_test)
-    mm = evaluate_test_window(spec, params, test, args.t_prime, args.d_test)
-    _emit(mm.to_dict(), args.report)
+    _emit(evaluate_test_window(spec, params, test, args.t_prime, args.d_test),
+          args.report)
     return 0
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -226,13 +228,9 @@ def reversal_set(
     Returns a sorted int64 index array into ``dataset``.
     """
     check_windows(t, t_prime)
-    mask = (
-        (dataset.click_ts < t)
-        & (dataset.pay_ts != PAY_TS_MISSING)
-        & (dataset.pay_ts >= t)
-        & (dataset.pay_ts < t_prime)
-    )
-    return np.flatnonzero(mask).astype(np.int64)
+    stale = labels_of(dataset, Observed(t))
+    rises = labels_of(dataset, Observed(t_prime)) > stale
+    return np.flatnonzero(rises & (dataset.click_ts < t)).astype(np.int64)
 
 
 def arrival_set(
@@ -363,17 +361,21 @@ def load_csv(path: str) -> Dataset:
     Errors name the offending 1-based line number. Loading what save_csv
     wrote reproduces the dataset exactly. Hand-written files, with quoted
     fields or spaces around numbers, or a leading UTF-8 byte-order mark,
-    load as well. The file must be UTF-8.
+    load as well. The file must be UTF-8. It is opened once, in binary:
+    :func:`_parse_body` reads it in bulk, and what that declines, or a
+    pipe, is read row by row through a text layer on the same handle.
     """
     try:
-        # Bytes that are not UTF-8 decode to lone surrogates, so that the
-        # row loop can name their line instead of failing mid-read.
-        fh = open(path, newline="", encoding="utf-8-sig",
-                  errors="surrogateescape")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
+        # A pipe cannot be read twice, so it goes to the row loop.
+        if fh.seekable():
+            if (dataset := _parse_body(fh)) is not None:
+                return dataset
+            fh.seek(0)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -386,20 +388,10 @@ def load_csv(path: str) -> Dataset:
                 "at least one feature column"
             )
         d = len(header) - 2
-        expected = [f"f{i}" for i in range(d)]
-        if header[2:] != expected:
+        if header[2:] != [f"f{i}" for i in range(d)]:
             raise DataFormatError(
                 f"{path}:1: feature columns must be named f0..f{d - 1}"
             )
-        # A pipe cannot be read twice, so it goes to the row loop.
-        if fh.seekable():
-            fh.seek(0)
-            dataset = _parse_body(fh, d)
-            if dataset is not None:
-                return dataset
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
         clicks: list[int] = []
         pays: list[int] = []
         rows: list[list[float]] = []
@@ -447,6 +439,19 @@ def load_csv(path: str) -> Dataset:
     )
 
 
+def _csv_rows(fh: BinaryIO, path: str) -> Iterator[list[str]]:
+    """The csv rows of ``fh`` read as UTF-8, where bytes that are not UTF-8
+    decode to lone surrogates so that the row loop can name their line; a
+    row the csv module rejects, such as one with a field beyond its size
+    limit, raises :class:`DataFormatError` naming its line."""
+    reader = csv.reader(io.TextIOWrapper(
+        fh, newline="", encoding="utf-8-sig", errors="surrogateescape"))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _is_utf8(fields: list[str]) -> bool:
     """False if the fields hold bytes that did not decode as UTF-8."""
     try:
@@ -456,26 +461,27 @@ def _is_utf8(fields: list[str]) -> bool:
     return True
 
 
-def _parse_body(fh: TextIO, d: int) -> Dataset | None:
-    """Parse the rows after the header in bulk, or return ``None``.
+def _parse_body(fh: BinaryIO) -> Dataset | None:
+    """Parse the file in bulk, or return ``None``.
 
     ``None`` hands the file to the row loop in :func:`load_csv`, the only
     reader that names a bad line. The bulk parse returns only what that
-    loop would: the header is exactly ``click_ts,pay_ts,f0,...``, the rows
-    go block by block through :func:`_parse_rows`, and :class:`Dataset`
-    accepts the columns (its checks accept what the loop accepts). ``fh``
-    is at the file's start; a byte-order mark there is skipped, as the
-    text layer skips it.
+    loop would: the header is exactly ``click_ts,pay_ts,f0,...`` (``d``
+    is read off it), the rows go block by block through
+    :func:`_parse_rows`, and :class:`Dataset` accepts the columns (its
+    checks accept what the loop accepts). ``fh`` is load_csv's binary
+    handle, at the file's start; a byte-order mark there is skipped, as
+    the row loop's text layer skips it.
     """
-    raw = fh.buffer
-    if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        raw.seek(0)
-    header = ",".join(["click_ts", "pay_ts"] + [f"f{i}" for i in range(d)])
-    if raw.readline().decode("ascii", "replace") not in (
-            header + "\r\n", header + "\n"):
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    line = fh.readline()
+    d = line.count(b",") - 1
+    header = b"click_ts,pay_ts" + b"".join(b",f%d" % i for i in range(d))
+    if d < 1 or line not in (header + b"\r\n", header + b"\n"):
         return None
     blocks, tail = [], b""
-    while block := raw.read(_SCAN_BYTES):
+    while block := fh.read(_SCAN_BYTES):
         lines, newline, tail = (tail + block).rpartition(b"\n")
         if newline:
             blocks.append(_parse_rows(lines + newline, d))

@@ -76,16 +76,14 @@ class ExperimentConfig:
         if not isinstance(self.data, (SyntheticConfig, str)):
             raise ConfigError("data must be synthetic settings or a CSV path")
         check_windows(self.t, self.t_prime, self.d_test)
-        if not self.methods:
-            raise ConfigError("methods must be non-empty")
+        for name in ("methods", "seeds", "timing_sizes"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ConfigError(
                     f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}"
                 )
-        for name in ("seeds", "timing_sizes"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be non-empty")
         require("in [0, 2**32)", seeds=self.seeds)
         require("positive", timing_sizes=self.timing_sizes)
         solvers.default_solver_config(self.solver)
@@ -139,6 +137,8 @@ def _check_keys(raw: dict, allowed: Iterable[str], where: str) -> None:
 def _from_json(cls: type, raw: dict, where: str, **given: Any) -> Any:
     """Dataclass ``cls`` from its JSON object ``raw``, the block ``where``
     (``"config"`` at the top level); ``given`` holds decoded fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
     _check_keys(raw, (f.name for f in fields(cls)), where)
     hints = get_type_hints(cls)
     prefix = "" if where == "config" else f"{where}."
@@ -162,7 +162,7 @@ def _data_from_json(raw: Any) -> SyntheticConfig | str:
     """Synthetic settings, or a CSV path given bare or as ``{"csv": path}``."""
     if isinstance(raw, str):
         return raw
-    if "csv" in raw:
+    if isinstance(raw, dict) and "csv" in raw:
         _check_keys(raw, ("csv",), "data")
         return decode(str, raw["csv"], "data.csv")
     return _from_json(SyntheticConfig, raw, "data")
@@ -273,7 +273,7 @@ def evaluate_test_window(
     test: Dataset,
     t_prime: int,
     d_test: int,
-) -> metrics.MethodMetrics:
+) -> dict[str, float]:
     """Metrics of ``params`` on ``test``, the clicks of ``[t_prime, t_prime
     + d_test)``, against their eventual labels.
 
@@ -307,7 +307,7 @@ def _seed_block(config: ExperimentConfig, seed: int, params: dict,
                 )
     return {
         "seed": seed,
-        "methods": {k: v.to_dict() for k, v in method_metrics.items()},
+        "methods": method_metrics,
         "ri": metrics.ri_block(method_metrics, **ri_refs),
         "timings": timings,
     }
@@ -340,7 +340,6 @@ def _finish_seeds(config: ExperimentConfig, protocol: str,
     aggregate = _aggregate(per_seed)
     blocks = [(str(s["seed"]), s) for s in per_seed]
     blocks.append(("mean", aggregate["mean"]))
-    names = [f.name for f in fields(metrics.MethodMetrics)]
     rows = []
     for label, block in blocks:
         for method, values in block["methods"].items():
@@ -349,10 +348,10 @@ def _finish_seeds(config: ExperimentConfig, protocol: str,
                 "protocol": protocol, "seed": label, "method": method,
                 **values,
                 **{f"ri_{k}": "" if ri.get(k) is None else ri[k]
-                   for k in names},
+                   for k in metrics.METRICS},
             })
-    columns = ["protocol", "seed", "method", *names,
-               *(f"ri_{k}" for k in names)]
+    columns = ["protocol", "seed", "method", *metrics.METRICS,
+               *(f"ri_{k}" for k in metrics.METRICS)]
     return _finish(config, protocol,
                    {"per_seed": per_seed, "aggregate": aggregate},
                    f"{protocol}_metrics.csv", columns, rows)

@@ -176,7 +176,7 @@ class InfluenceSystem:
         if not result.converged:
             raise solvers.SolverNotConvergedError(
                 f"{request.solver} stopped at relative residual "
-                f"{result.residual_rel:.3e} > {config.tol_rel_residual:.0e} "
+                f"{result.residual_rel:.3e} > {config.tol_rel_residual:g} "
                 f"after {result.iterations} iterations; raise the iteration "
                 "budget, loosen the tolerance, or increase the damping",
                 delta=result.delta,

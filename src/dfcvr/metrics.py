@@ -8,14 +8,14 @@ Scores or labels a metric cannot read raise :class:`DataFormatError`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .errors import DataFormatError
 
 RI_DENOM_EPS = 1e-9
 LOG_LOSS_CLIP = 1e-7
+# What every method reports, in the order reports and tables list them.
+METRICS = ("auc", "prauc", "log_loss")
 
 
 def _validate(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,30 +98,16 @@ def ri(
     return float((value - vanilla_value) / denom)
 
 
-@dataclass(frozen=True)
-class MethodMetrics:
-    """What every method reports; reports and tables list these fields."""
-
-    auc: float
-    prauc: float
-    log_loss: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def compute_method_metrics(
     scores: np.ndarray, labels: np.ndarray
-) -> MethodMetrics:
-    return MethodMetrics(
-        auc=auc(scores, labels),
-        prauc=prauc(scores, labels),
-        log_loss=log_loss(scores, labels),
-    )
+) -> dict[str, float]:
+    """Every metric of :data:`METRICS`, keyed by name."""
+    return dict(zip(METRICS, (auc(scores, labels), prauc(scores, labels),
+                              log_loss(scores, labels))))
 
 
 def ri_block(
-    methods: dict[str, MethodMetrics],
+    methods: dict[str, dict[str, float]],
     vanilla_key: str = "vanilla",
     retrain_key: str = "retrain",
 ) -> dict[str, dict[str, float | None]]:
@@ -131,12 +117,7 @@ def ri_block(
     """
     if vanilla_key not in methods or retrain_key not in methods:
         return {}
-    van = methods[vanilla_key].to_dict()
-    ret = methods[retrain_key].to_dict()
-    out: dict[str, dict[str, float | None]] = {}
-    for name, mm in methods.items():
-        if name in (vanilla_key, retrain_key):
-            continue
-        out[name] = {k: ri(v, van[k], ret[k])
-                     for k, v in mm.to_dict().items()}
-    return out
+    van, ret = methods[vanilla_key], methods[retrain_key]
+    return {name: {k: ri(v, van[k], ret[k]) for k, v in values.items()}
+            for name, values in methods.items()
+            if name not in (vanilla_key, retrain_key)}

@@ -1,5 +1,6 @@
 """Data model tests: label views, splits, synthetic generation, CSV."""
 
+import csv
 import os
 import threading
 
@@ -335,8 +336,8 @@ def parses(monkeypatch):
     numpy_parse = data._parse_body
     parsed = []
 
-    def parse_body(fh, d):
-        parsed.append(numpy_parse(fh, d))
+    def parse_body(fh):
+        parsed.append(numpy_parse(fh))
         return parsed[-1]
 
     monkeypatch.setattr(data, "_parse_body", parse_body)
@@ -524,6 +525,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError) as err:
             load_csv(str(path))
         assert str(err.value) == f"{path}:{lineno}: not valid UTF-8"
+
+    @pytest.mark.parametrize("lineno", [1, 3])
+    def test_field_beyond_the_csv_limit_names_its_line(self, tmp_path,
+                                                       lineno):
+        lines = ["click_ts,pay_ts,f0", "5,-1,0.25", "6,-1,0.5", "7,-1,0.75"]
+        lines[lineno - 1] = lines[lineno - 1][:-2] + "1" * 200_000
+        path = tmp_path / "long.csv"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(str(path))
+        assert str(err.value) == (f"{path}:{lineno}: field larger than "
+                                  f"field limit ({csv.field_size_limit()})")
 
 
 def _decimals(rng, n):

@@ -365,6 +365,9 @@ def test_metrics_csv_rows_match_the_report(tmp_path, protocol):
         (label, method) for label, method, _ in expected
     ]
     blank_ri = 0
+    assert list(rows[0]) == [
+        "protocol", "seed", "method", "auc", "prauc", "log_loss", "ri_auc",
+        "ri_prauc", "ri_log_loss"]
     for row, (_, method, block) in zip(rows, expected):
         assert row["protocol"] == protocol
         for k in ("auc", "prauc", "log_loss"):
@@ -601,6 +604,10 @@ def _bad_input_argv(case, tmp_path):
     big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
     latin_csv = tmp_path / "latin.csv"
     latin_csv.write_bytes(b"click_ts,pay_ts,f0\n5,-1,0.25\xff\n")
+    # One field longer than the csv module's limit of 131,072 characters.
+    long_field_csv = tmp_path / "long_field.csv"
+    long_field_csv.write_text(
+        "click_ts,pay_ts,f0\n5,-1," + "1" * 200_000 + "\n")
     # 200 clicks, none converted: AUC is undefined on any window.
     one_class_csv = tmp_path / "one_class.csv"
     one_class_csv.write_text("click_ts,pay_ts,f0,f1,f2,f3\n" + "".join(
@@ -688,6 +695,9 @@ def _bad_input_argv(case, tmp_path):
             *train, "--model", "logreg", "--l2-coeff=-5"],
         "train_mlp_without_widths": [
             *train, "--model", "mlp", "--hidden-dims", ""],
+        "evaluate_csv_field_beyond_limit": [
+            "evaluate", "--checkpoint", ckpt, "--data", str(long_field_csv),
+            *evaluate[5:]],
         "evaluate_one_class_window": [
             "evaluate", "--checkpoint", ckpt, "--data", str(one_class_csv),
             "--t-prime", "600", "--d-test", "300"],
@@ -758,6 +768,13 @@ _WRONG_KIND_CONFIG = {
     "offline_boolean_damping_config": ({"damping": True}, "damping"),
     "offline_string_damping_config": ({"damping": "0.02"}, "damping"),
     "offline_string_methods_config": ({"methods": "ifdfm"}, "methods"),
+    # A block that is not an object, rather than read key by key.
+    "offline_list_train_config": ({"train": []}, "train"),
+    "offline_list_solver_config_config": (
+        {"solver_config": []}, "solver_config"),
+    "offline_string_solver_config_config": (
+        {"solver_config": "x"}, "solver_config"),
+    "offline_list_data_config": ({"data": []}, "data"),
 }
 
 
@@ -774,6 +791,7 @@ class TestCliExitCodes:
         "offline_mlp_without_widths_config",
         "train_csv_timestamp_beyond_int64", "train_negative_l2_coeff",
         "train_mlp_without_widths", "train_csv_not_utf8",
+        "evaluate_csv_field_beyond_limit",
         "evaluate_one_class_window", "generate_out_in_missing_dir",
         "train_out_in_missing_dir", "train_metrics_log_in_missing_dir",
         "update_out_in_missing_dir", "update_report_in_missing_dir",
@@ -796,6 +814,9 @@ class TestCliExitCodes:
             assert f"{_OUT_OF_RANGE_SETTING[case]} must be finite" in err
         if case in _WRONG_KIND_CONFIG:
             assert f"error: {_WRONG_KIND_CONFIG[case][1]} must be " in err
+        if case == "evaluate_csv_field_beyond_limit":
+            assert err == (f"dfcvr: error: {tmp_path / 'long_field.csv'}:2: "
+                           "field larger than field limit (131072)\n")
         if case in _TRAIN_END:
             assert err == f"dfcvr: {_TRAIN_END[case]}\n"
 

@@ -421,6 +421,23 @@ class TestDeltaTotal:
         assert info.value.delta is not None
         assert info.value.residual_rel is not None
 
+    @pytest.mark.parametrize("tol", [0.35, 0.15])
+    def test_unconverged_error_names_the_tolerance_as_set(self, tol):
+        dataset, flips, spec, theta = _fitted_lr(seed=10)
+        request = influence.InfluenceRequest(
+            reversal_indices=flips,
+            solver="sq",
+            solver_config=solvers.SolverConfig(
+                tol_rel_residual=tol, max_epochs=1, learning_rate=1e-6
+            ),
+            damping=1e-2,
+        )
+        with pytest.raises(solvers.SolverNotConvergedError) as info:
+            influence.delta_total(
+                spec, theta, dataset, data.Observed(T), request
+            )
+        assert f" > {tol} after " in str(info.value)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ConfigError, match="solver"):
             influence.InfluenceRequest(

@@ -247,13 +247,13 @@ class TestRi:
 
 class TestReportContainers:
     def test_ri_block_requires_both_references(self):
-        mm = metrics.MethodMetrics(auc=0.8, prauc=0.6, log_loss=0.4)
+        mm = {"auc": 0.8, "prauc": 0.6, "log_loss": 0.4}
         assert metrics.ri_block({"vanilla": mm, "ifdfm": mm}) == {}
         block = metrics.ri_block(
             {
-                "vanilla": metrics.MethodMetrics(0.80, 0.60, 0.40),
-                "retrain": metrics.MethodMetrics(0.84, 0.64, 0.36),
-                "ifdfm": metrics.MethodMetrics(0.83, 0.63, 0.37),
+                "vanilla": {"auc": 0.80, "prauc": 0.60, "log_loss": 0.40},
+                "retrain": {"auc": 0.84, "prauc": 0.64, "log_loss": 0.36},
+                "ifdfm": {"auc": 0.83, "prauc": 0.63, "log_loss": 0.37},
             }
         )
         np.testing.assert_allclose(block["ifdfm"]["auc"], 0.75)
