@@ -377,7 +377,7 @@ def load_csv(path: str) -> Dataset:
             fh.seek(0)
         reader = _csv_rows(fh, path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}:1: file is empty") from None
         if not _is_utf8(header):
@@ -395,7 +395,7 @@ def load_csv(path: str) -> Dataset:
         clicks: list[int] = []
         pays: list[int] = []
         rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not _is_utf8(row):
                 raise DataFormatError(f"{path}:{lineno}: not valid UTF-8")
             if len(row) != d + 2:
@@ -439,15 +439,17 @@ def load_csv(path: str) -> Dataset:
     )
 
 
-def _csv_rows(fh: BinaryIO, path: str) -> Iterator[list[str]]:
-    """The csv rows of ``fh`` read as UTF-8, where bytes that are not UTF-8
-    decode to lone surrogates so that the row loop can name their line; a
-    row the csv module rejects, such as one with a field beyond its size
-    limit, raises :class:`DataFormatError` naming its line."""
+def _csv_rows(fh: BinaryIO, path: str) -> Iterator[tuple[int, list[str]]]:
+    """The csv rows of ``fh`` read as UTF-8, each with the line it ends on,
+    where bytes that are not UTF-8 decode to lone surrogates so that the
+    row loop can name their line; a row the csv module rejects, such as
+    one with a field beyond its size limit, raises
+    :class:`DataFormatError` naming its line."""
     reader = csv.reader(io.TextIOWrapper(
         fh, newline="", encoding="utf-8-sig", errors="surrogateescape"))
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -505,7 +507,8 @@ def _parse_rows(
 
     The lines must hold only bytes in :data:`_FAST_BYTES`, with ``\\r``
     only before ``\\n`` (the csv module also ends a row at a lone ``\\r``),
-    and ``d + 2`` non-empty fields each. A field of digits, within
+    and ``d + 2`` non-empty fields each, none longer than the row loop's
+    limit, ``csv.field_size_limit()``. A field of digits, within
     :data:`_MAX_DIGITS` and after an optional ``-``, with no point in a
     timestamp and at most one in a feature, is read in bulk: its digits
     as one int64, then, for a feature, that integer over a power of ten in
@@ -532,8 +535,9 @@ def _parse_rows(
     # Letters, 'e' included, and '+'; a '-' after none of them must start
     # its field, or the field is no number.
     other = np.flatnonzero((a > _NINE) | (a == _PLUS) if letters else [])
+    lengths = ends - starts
     if (np.count_nonzero(a == _CR) != crlf.sum()
-            or not (ends - starts).all()
+            or not lengths.all() or lengths.max() > csv.field_size_limit()
             or np.count_nonzero(a == _MINUS)
             != neg.sum() + (a[other + 1] == _MINUS).sum()):
         return None
@@ -541,7 +545,7 @@ def _parse_rows(
     dots = np.flatnonzero(a == _DOT)
     owner = np.searchsorted(ends, dots)
     n_dots = np.bincount(owner, minlength=len(ends))
-    n_digits = ends - starts - neg - n_dots
+    n_digits = lengths - neg - n_dots
     odd = (n_dots > ~is_ts) | (n_digits < 1) | (
         n_digits - (a[starts + neg] == _ZERO) > _MAX_DIGITS)
     odd[np.searchsorted(ends, other)] = True

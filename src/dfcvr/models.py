@@ -228,15 +228,10 @@ def build_ggn_factors(
     return GgnFactors(inputs, _backward(layers, inputs, ones)[:-1], h)
 
 
-def _grad_sum(spec: ModelSpec, state: BatchState) -> np.ndarray:
+def _grad_sum(state: BatchState) -> np.ndarray:
     """Flat sum of the per-sample BCE gradients over the batch."""
-    out = np.empty(num_params(spec))
-    for (dw, db), inputs_l, delta_l in zip(
-        unpack_params(spec, out), state.inputs, state.deltas
-    ):
-        np.matmul(delta_l.T, inputs_l, out=dw)
-        np.sum(delta_l, axis=0, out=db)
-    return out
+    return pack_params([(delta.T @ x, delta.sum(axis=0))
+                        for x, delta in zip(state.inputs, state.deltas)])
 
 
 def loss_and_grad(
@@ -247,7 +242,7 @@ def loss_and_grad(
     layers = unpack_params(spec, params)
     reg = 0.5 * spec.l2_coeff * sum(float(np.sum(w * w)) for w, _ in layers)
     loss = float(np.mean(state.losses)) + reg
-    grad = _grad_sum(spec, state)
+    grad = _grad_sum(state)
     grad /= state.n
     for (dw, _), (w, _) in zip(unpack_params(spec, grad), layers):
         dw += spec.l2_coeff * w
@@ -258,7 +253,7 @@ def bce_grad_sum(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Sum of per-sample BCE gradients, excluding the L2 penalty."""
-    return _grad_sum(spec, build_state(spec, params, x, y))
+    return _grad_sum(build_state(spec, params, x, y))
 
 
 def hvp_from_state(
@@ -354,16 +349,12 @@ def ggn_from_factors(
     h = factors.h[rows]
     s *= h / len(h)
 
-    out = np.empty(num_params(spec))
-    grads = unpack_params(spec, out)
-    np.matmul(s, inputs[-1], out=grads[-1][0][0])
-    grads[-1][1][0] = s.sum()
-    for in_l, d_l, (dw, db) in zip(inputs, jacobians, grads):
-        np.matmul(d_l.T, in_l * s[:, None], out=dw)
-        np.matmul(s, d_l, out=db)
-    for (dw, _), (vw, _) in zip(grads, vs):
-        dw += spec.l2_coeff * vw
-    return out
+    out = [(d_l.T @ (in_l * s[:, None]) + spec.l2_coeff * vw, s @ d_l)
+           for in_l, d_l, (vw, _) in zip(inputs, jacobians, vs)]
+    vw, _ = vs[-1]
+    out.append(((s @ inputs[-1])[None] + spec.l2_coeff * vw,
+                s.sum(keepdims=True)))
+    return pack_params(out)
 
 
 def _spec_header(spec: ModelSpec) -> dict:

@@ -40,18 +40,8 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g,
-        # in place but with the same operations in the same order.
-        self.m *= BETA1
-        self.m += (1.0 - BETA1) * grad
-        self.v *= BETA2
-        g2 = (1.0 - BETA2) * grad
-        g2 *= grad
-        self.v += g2
-        step = self.m / (1.0 - BETA1**self.t)
-        step *= self.learning_rate
-        denom = np.divide(self.v, 1.0 - BETA2**self.t, out=g2)
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        step /= denom
-        params -= step
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        m_hat = self.m / (1.0 - BETA1**self.t)
+        v_hat = self.v / (1.0 - BETA2**self.t)
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

@@ -526,17 +526,37 @@ class TestCsvRoundTrip:
             load_csv(str(path))
         assert str(err.value) == f"{path}:{lineno}: not valid UTF-8"
 
-    @pytest.mark.parametrize("lineno", [1, 3])
+    @pytest.mark.parametrize("lineno, field", [
+        pytest.param(1, "1" * 200_000, id="1"),
+        pytest.param(3, "1" * 200_000, id="3"),
+        # Zeros read as 0.0 in bulk, so there only the limit stops them.
+        pytest.param(2, "0" * 131_072, id="zeros-at-the-limit"),
+        pytest.param(2, "0" * 131_073, id="zeros-beyond-the-limit"),
+    ])
     def test_field_beyond_the_csv_limit_names_its_line(self, tmp_path,
-                                                       lineno):
+                                                       lineno, field):
         lines = ["click_ts,pay_ts,f0", "5,-1,0.25", "6,-1,0.5", "7,-1,0.75"]
-        lines[lineno - 1] = lines[lineno - 1][:-2] + "1" * 200_000
+        lines[lineno - 1] = lines[lineno - 1].rpartition(",")[0] + "," + field
         path = tmp_path / "long.csv"
         path.write_text("\r\n".join(lines) + "\r\n")
+        if len(field) <= csv.field_size_limit():
+            assert load_csv(str(path)).features.tolist() == [[0.0], [0.5],
+                                                             [0.75]]
+            return
         with pytest.raises(DataFormatError) as err:
             load_csv(str(path))
         assert str(err.value) == (f"{path}:{lineno}: field larger than "
                                   f"field limit ({csv.field_size_limit()})")
+
+    def test_row_after_a_record_over_two_lines_names_its_line(self,
+                                                              tmp_path):
+        # Lines 2 and 3 hold one record, a quoted feature with a line break.
+        path = tmp_path / "q.csv"
+        path.write_text('click_ts,pay_ts,f0\n5,-1,"0.5\n"\n6,-1,x\n')
+        with pytest.raises(DataFormatError) as err:
+            load_csv(str(path))
+        assert str(err.value) == (
+            f"{path}:4: could not convert string to float: 'x'")
 
 
 def _decimals(rng, n):

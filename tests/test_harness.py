@@ -600,6 +600,12 @@ def _bad_input_argv(case, tmp_path):
         # Mid-float: the payload length is no multiple of 8.
         with open(ckpt, "r+b") as fh:
             fh.truncate(os.path.getsize(ckpt) - 3)
+    if case.endswith("without_input_dim"):
+        # A renamed key keeps the header's length.
+        with open(ckpt, "r+b") as fh:
+            blob = fh.read().replace(b'"input_dim"', b'"input_dxm"')
+            fh.seek(0)
+            fh.write(blob)
     big_csv = tmp_path / "big.csv"
     big_csv.write_text("click_ts,pay_ts,f0\n99999999999999999999,-1,0.25\n")
     latin_csv = tmp_path / "latin.csv"
@@ -608,6 +614,12 @@ def _bad_input_argv(case, tmp_path):
     long_field_csv = tmp_path / "long_field.csv"
     long_field_csv.write_text(
         "click_ts,pay_ts,f0\n5,-1," + "1" * 200_000 + "\n")
+    empty_csv = tmp_path / "empty.csv"
+    empty_csv.write_text("")
+    misnamed_csv = tmp_path / "misnamed.csv"
+    misnamed_csv.write_text("click_ts,pay_ts,a,b\n5,-1,0.25,0.5\n")
+    negative_click_csv = tmp_path / "negative_click.csv"
+    negative_click_csv.write_text("click_ts,pay_ts,f0\n-5,-1,0.25\n")
     # 200 clicks, none converted: AUC is undefined on any window.
     one_class_csv = tmp_path / "one_class.csv"
     one_class_csv.write_text("click_ts,pay_ts,f0,f1,f2,f3\n" + "".join(
@@ -634,6 +646,9 @@ def _bad_input_argv(case, tmp_path):
         (tmp_path / "wrong_kind.json").write_text(
             json.dumps({**logreg, **_WRONG_KIND_CONFIG[case][0]}))
         return ["offline", "--config", str(tmp_path / "wrong_kind.json")]
+    cnn_config = tmp_path / "cnn.json"
+    cnn_config.write_text(json.dumps(
+        {**logreg, "model": {"kind": "cnn", "input_dim": 4}}))
     for name in ("vanilla_seed0.ckpt", "offline_report.json"):
         (tmp_path / name / name).mkdir(parents=True)
     missing = tmp_path / "missing"
@@ -691,6 +706,16 @@ def _bad_input_argv(case, tmp_path):
             "train", "--data", str(big_csv), *train[3:]],
         "train_csv_not_utf8": [
             "train", "--data", str(latin_csv), *train[3:]],
+        "train_empty_csv": ["train", "--data", str(empty_csv), *train[3:]],
+        "train_csv_misnamed_features": [
+            "train", "--data", str(misnamed_csv), *train[3:]],
+        "train_csv_negative_click": [
+            "train", "--data", str(negative_click_csv), *train[3:]],
+        "offline_unknown_model_kind_config": [
+            "offline", "--config", str(cnn_config)],
+        "evaluate_checkpoint_without_input_dim": evaluate,
+        "offline_bad_seeds": [
+            "offline", "--config", logreg_config, "--seeds", "1,x"],
         "train_negative_l2_coeff": [
             *train, "--model", "logreg", "--l2-coeff=-5"],
         "train_mlp_without_widths": [
@@ -737,6 +762,19 @@ _OUT_OF_RANGE_SETTING = {
     "offline_nan_damping_config": "damping",
     "train_seed_beyond_32_bits": "seed",
     "generate_seed_beyond_32_bits": "seed",
+}
+
+
+# Bad-input cases whose one-line error must hold these words.
+_MESSAGE = {
+    "train_empty_csv": "empty.csv:1: file is empty",
+    "train_csv_misnamed_features":
+        "misnamed.csv:1: feature columns must be named f0..f1",
+    "train_csv_negative_click":
+        "negative_click.csv:2: click_ts must be non-negative",
+    "offline_unknown_model_kind_config": "unknown model kind 'cnn'",
+    "evaluate_checkpoint_without_input_dim": "bad model header",
+    "offline_bad_seeds": "bad seeds list: '1,x'",
 }
 
 
@@ -798,6 +836,7 @@ class TestCliExitCodes:
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
         *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG, *_TRAIN_END,
+        *_MESSAGE,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -819,6 +858,8 @@ class TestCliExitCodes:
                            "field larger than field limit (131072)\n")
         if case in _TRAIN_END:
             assert err == f"dfcvr: {_TRAIN_END[case]}\n"
+        if case in _MESSAGE:
+            assert _MESSAGE[case] in err
 
     @pytest.mark.parametrize("protocol", ["offline", "online",
                                           "compare-solvers"])

@@ -258,3 +258,22 @@ class TestReportContainers:
         )
         np.testing.assert_allclose(block["ifdfm"]["auc"], 0.75)
         np.testing.assert_allclose(block["ifdfm"]["log_loss"], 0.75)
+
+
+@pytest.mark.parametrize("metric", metrics.METRICS)
+@pytest.mark.parametrize("scores, labels, message", [
+    pytest.param([0.5, 0.5], [1.0], "scores and labels must be 1-d arrays "
+                 "of equal length", id="unequal-lengths"),
+    pytest.param([], [], "empty score set", id="empty"),
+    pytest.param([0.5, np.nan], [1.0, 0.0],
+                 "scores contain non-finite values", id="non-finite"),
+    pytest.param([0.5, 1.5], [1.0, 0.0], "scores must lie in [0, 1]",
+                 id="outside-the-unit-interval"),
+    pytest.param([0.5, 0.25], [1.0, 2.0], "labels must be 0 or 1",
+                 id="label-not-binary"),
+])
+def test_unreadable_scores_or_labels_are_rejected(metric, scores, labels,
+                                                   message):
+    with pytest.raises(DataFormatError) as err:
+        getattr(metrics, metric)(np.array(scores), np.array(labels))
+    assert str(err.value) == message

@@ -5,10 +5,15 @@ The ``_oracle_*`` functions and ``_OracleAdam`` are ``build_state``,
 ``loss_and_grad``, ``bce_grad_sum``, ``hvp_from_state`` and ``Adam.step``
 as they were before the sweeps wrote into preallocated buffers; the
 probabilities inside ``_oracle_forward`` are what ``predict`` must return,
-since it reads the same sweep and clamp rule as ``build_state``. The new
-code keeps every floating-point operation and its order, so each output
-must equal the reference byte for byte, not within a tolerance. The one
-intended difference, a NaN hidden pre-activation, has its own test.
+since it reads the same sweep and clamp rule as ``build_state``.
+``_OracleAdam`` and ``_oracle_bce_grad_sum`` read as ``Adam.step`` and
+the library's gradient sum do, since arithmetic on parameter-sized
+vectors writes into no buffer; what this file guards is the batch-sized
+sweeps, which write in place (the forward ReLU, the backward masks and
+``hvp_from_state``). The library keeps every floating-point operation
+and its order, so each output must equal the reference byte for byte,
+not within a tolerance. The one intended difference, a NaN hidden
+pre-activation, has its own test.
 
 Bit-identity must not depend on how BLAS splits a product over threads:
 run this file under ``OPENBLAS_NUM_THREADS=1`` as well as the default.
