@@ -264,8 +264,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require("positive", n=self.n, delay_mean_tau=self.delay_mean_tau,
-                horizon=self.horizon)
+        require("positive", n=self.n, delay_mean_tau=self.delay_mean_tau)
+        require("in [1, 2**63]", horizon=self.horizon)
         require("at least 2", feature_dim=self.feature_dim)
         require("in (0, 1)", target_cvr=self.target_cvr)
         require("finite", drift_angle_per_day=self.drift_angle_per_day)
@@ -325,9 +325,15 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     probs = 1.0 / (1.0 + np.exp(-(score + intercept)))
     converted = rng.random(n) < probs
     delays = np.rint(rng.exponential(config.delay_mean_tau, size=n))
-    pay_ts = np.where(
-        converted, click_ts + delays.astype(np.int64), PAY_TS_MISSING
-    )
+    # A delay past int64 has no cast, and a sum past it wraps below the click.
+    fits = delays < 2.0**63
+    pay = click_ts + np.where(fits, delays, 0.0).astype(np.int64)
+    if np.any(converted & (~fits | (pay < click_ts))):
+        raise ConfigError(
+            f"delay_mean_tau {config.delay_mean_tau} puts payment times past "
+            "the int64 range; lower it or the horizon"
+        )
+    pay_ts = np.where(converted, pay, PAY_TS_MISSING)
     return Dataset(features, click_ts, pay_ts)
 
 

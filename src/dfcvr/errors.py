@@ -27,6 +27,8 @@ _RULES = {
     "at least 2": lambda v: v >= 2,
     # A seed: optim.epoch_permutation packs it into 32 bits of its key.
     "in [0, 2**32)": lambda v: 0 <= v < 2**32,
+    # A synthetic horizon: click times are drawn below it as int64.
+    "in [1, 2**63]": lambda v: 1 <= v <= 2**63,
 }
 
 

@@ -1,15 +1,16 @@
 """Matrix-free solvers for damped curvature systems ``(C + lam I) delta = b``.
 
-The curvature ``C``, the Gauss-Newton approximation of the Hessian, is
-only touched through curvature-vector products. Three solvers cover different
-regimes: conjugate gradients for exact solves on positive-definite
-systems, a truncated power series for a fixed-budget approximation, and a
-stochastic quadratic minimizer (Adam on minibatch curvature) that scales
-to large sample counts.
+The curvature ``C``, the Gauss-Newton approximation of the Hessian, is only
+touched through curvature-vector products. Three solvers cover different
+regimes: conjugate gradients for exact solves on positive-definite systems,
+a truncated power series scaled by the top eigenvalue of the Lanczos matrix
+that cg's own recurrence builds, and a stochastic quadratic minimizer (Adam
+on minibatch curvature) that scales to large sample counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
@@ -156,6 +157,12 @@ class DampedHessianOperator:
         return part + self.lam * v
 
 
+# Below this relative residual a recurrence no longer tracks the true one:
+# the float64 floor of ``norm(b - A delta)`` is about 1e-16 times the
+# condition number.
+_RESIDUAL_FLOOR = 1e-12
+
+
 class _Breakdown(Exception):
     """A solver cannot continue; the loop raises it as a SolverError."""
 
@@ -163,15 +170,17 @@ class _Breakdown(Exception):
 def _solve_loop(diverged: str):
     """Make a solver from a generator of its steps.
 
-    The generator yields ``(delta, residual norm)`` once per CG
-    iteration, series term or epoch, and may change ``delta`` in place
-    afterwards. sq recomputes ``norm(b - A delta)`` each epoch; cg and
-    neumann carry the residual by recurrence, equal to it in exact
-    arithmetic, and cg's drifts from it near the float64 floor. The loop
-    keeps what every solver shares: the clock, the ``b = 0`` result, the
-    residual trace, the best iterate (``delta = 0`` with residual 1 until
-    a step beats it), the stop once the best residual reaches the
-    tolerance, and the verdict. The first non-finite residual raises
+    The generator yields ``(delta, residual norm)``, cg also its ``(alpha,
+    beta)``, once per CG iteration, series term or epoch, and may change
+    ``delta`` in place afterwards. sq recomputes ``norm(b - A delta)`` each
+    epoch; cg and neumann carry the residual by recurrence, equal to it in
+    exact arithmetic, and drifting from it near the float64 floor. The
+    loop keeps what every solver shares: the clock, the ``b = 0`` result,
+    the residual trace, the best iterate (``delta = 0`` with residual 1
+    until a step beats it), the stop once the best residual reaches the
+    tolerance, and the verdict. A best residual below ``_RESIDUAL_FLOOR``
+    is recomputed once, at one product, as ``norm(b - A delta)``, and is
+    reported and judged as that. The first non-finite residual raises
     :class:`SolverError` with ``diverged``, formatted with the step
     number; a step that raises :class:`_Breakdown` gets a
     :class:`SolverError` with its message. Both carry the best iterate.
@@ -187,7 +196,7 @@ def _solve_loop(diverged: str):
                 return SolveResult(best_delta, None, 0, True,
                                    wall_time=time.perf_counter() - start)
             try:
-                for delta, residual in steps(operator, b, config):
+                for delta, residual, *_ in steps(operator, b, config):
                     rel = residual / b_norm
                     if not np.isfinite(rel):
                         raise _Breakdown(diverged.format(len(trace) + 1))
@@ -198,6 +207,9 @@ def _solve_loop(diverged: str):
                         break
             except _Breakdown as exc:
                 raise SolverError(str(exc), best_delta, best_rel) from None
+            if best_rel < _RESIDUAL_FLOOR:
+                best_rel = float(np.linalg.norm(
+                    b - operator.matvec(best_delta))) / b_norm
             return SolveResult(
                 best_delta,
                 best_rel,
@@ -236,30 +248,38 @@ def cg_solve(operator, b: np.ndarray, config: SolverConfig):
         delta += alpha * d
         r -= alpha * ad
         rs_new = float(r @ r)
-        yield delta, np.sqrt(rs_new)
-        d = r + (rs_new / rs) * d
+        beta = rs_new / rs
+        yield delta, np.sqrt(rs_new), (alpha, beta)
+        d = r + beta * d
         rs = rs_new
 
 
-def power_iteration(operator, seed: int = 0) -> float:
-    """Rayleigh-quotient estimate of the largest eigenvalue after 100
-    normalized matrix-vector products from a random unit start."""
+_cg_steps = cg_solve.__wrapped__  # the one Krylov recurrence, loop-free
+
+
+def _top_eigenvalue(operator, seed: int) -> float:
+    """Top eigenvalue of the Lanczos tridiagonal of cg's steps from a seeded
+    start (Golub & Van Loan 10.2), once a step moves it by at most 1e-9 of
+    itself or cg's default steps end: 0 if the first step finds no positive
+    curvature, NaN once a product is not finite."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(operator.dim)
-    v /= np.linalg.norm(v)
-    rq = 0.0
-    for _ in range(100):
-        w = operator.matvec(v)
-        rq = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return rq
+    diag, off, shift, estimate = [], [], 0.0, 0.0
+    with contextlib.suppress(_Breakdown):
+        for _, res, (alpha, beta) in _cg_steps(operator, v, SolverConfig()):
+            if not np.isfinite(res):
+                return float("nan")
+            diag.append(1.0 / alpha + shift)
+            t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            previous, estimate = estimate, float(np.linalg.eigvalsh(t)[-1])
+            if not abs(estimate - previous) > 1e-9 * estimate:
+                break
+            off.append(np.sqrt(beta) / alpha)
+            shift = beta / alpha
+    return estimate
 
 
-# Safety margin on the calibrated series scale: the power-iteration
-# estimate approaches the spectral norm from below.
+# Margin on the series scale: a Ritz value approaches the norm from below.
 _NEUMANN_SCALE_MARGIN = 0.9
 
 
@@ -269,16 +289,15 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
 
     The recurrence ``w <- w - s A w`` yields both the next series term
     and the exact residual of the partial sum, so each term costs one
-    HVP. The scale ``s`` is ``0.9 / estimate``, from a spectral-norm
-    estimate by power iteration, which must be positive (a NaN estimate
-    is not); ``max_iters`` caps the terms.
+    HVP. The scale ``s`` is ``0.9 / estimate``, from the top Lanczos
+    eigenvalue, which must be positive (a NaN estimate is not);
+    ``max_iters`` caps the terms.
     """
-    estimate = power_iteration(operator, seed=config.seed)
+    estimate = _top_eigenvalue(operator, config.seed)
     if not estimate > 0.0:
-        raise _Breakdown(
-            f"spectral-norm estimate {estimate} is not positive: the power "
-            "iteration diverged or the operator is not positive definite"
-        )
+        raise _Breakdown(f"spectral-norm estimate {estimate} is not positive:"
+                         " the Lanczos estimate diverged or the operator is "
+                         "not positive definite")
     scale = _NEUMANN_SCALE_MARGIN / estimate
     delta = np.zeros_like(b)
     w = b.copy()

@@ -43,6 +43,7 @@ _BAD = [
     ("SyntheticConfig", "delay_mean_tau", np.nan, "delay_mean_tau"),
     ("SyntheticConfig", "delay_mean_tau", np.inf, "delay_mean_tau"),
     ("SyntheticConfig", "horizon", 0, "horizon"),
+    ("SyntheticConfig", "horizon", 2**63 + 1, "horizon"),
     ("SyntheticConfig", "seed", -1, "seed"),
     ("SyntheticConfig", "seed", 2**32, "seed"),
     ("SyntheticConfig", "drift_angle_per_day", np.nan, "drift_angle"),

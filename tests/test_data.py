@@ -3,6 +3,7 @@
 import csv
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,22 @@ class TestGenerateSynthetic:
             self._config(n=0)
         with pytest.raises(ConfigError):
             self._config(delay_mean_tau=0.0)
+
+    @pytest.mark.parametrize("tau, horizon", [(1e30, 1_000_000),
+                                              (1e17, 2**63)])
+    def test_payment_times_beyond_int64_rejected_without_warning(
+        self, tau, horizon
+    ):
+        # A payment time past int64 fails by name, before a cast that
+        # would warn, or wrap it below its click: at tau 1e30 the delays
+        # themselves pass int64; at tau 1e17 they fit, but a click near
+        # the end of a 2**63 horizon does not leave room for them.
+        config = self._config(delay_mean_tau=tau, horizon=horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="delay_mean_tau .* past "
+                               "the int64 range"):
+                generate_synthetic(config)
 
 
 @pytest.fixture

@@ -696,6 +696,10 @@ def _bad_input_argv(case, tmp_path):
         "generate_seed_beyond_32_bits": [*generate, "--seed", str(2**128)],
         "generate_nan_delay": [*generate, "--delay-mean-tau", "nan"],
         "generate_nan_drift": [*generate, "--drift-angle-per-day", "nan"],
+        "generate_horizon_beyond_int64": [
+            *generate, "--horizon", "99999999999999999999"],
+        "generate_pay_ts_beyond_int64": [
+            *generate, "--delay-mean-tau", "1e30"],
         "offline_nan_damping_config": [
             "offline", "--config", nan_damping_config],
         "train_negative_width": [*train, "--hidden-dims=-5"],
@@ -762,6 +766,7 @@ _OUT_OF_RANGE_SETTING = {
     "offline_nan_damping_config": "damping",
     "train_seed_beyond_32_bits": "seed",
     "generate_seed_beyond_32_bits": "seed",
+    "generate_horizon_beyond_int64": "horizon",
 }
 
 
@@ -775,6 +780,8 @@ _MESSAGE = {
     "offline_unknown_model_kind_config": "unknown model kind 'cnn'",
     "evaluate_checkpoint_without_input_dim": "bad model header",
     "offline_bad_seeds": "bad seeds list: '1,x'",
+    "generate_pay_ts_beyond_int64":
+        "delay_mean_tau 1e+30 puts payment times past the int64 range",
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfcvr import models, solvers
+from dfcvr import data, models, solvers, training
 from dfcvr.errors import ConfigError
 
 from dense_operator import MatrixOperator
@@ -152,30 +152,73 @@ class TestCg:
         )
 
 
-class TestPowerIteration:
+class CountingOperator:
+    """Wraps an operator and counts its full products."""
+
+    def __init__(self, inner):
+        self.inner, self.products = inner, 0
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def matvec(self, v):
+        self.products += 1
+        return self.inner.matvec(v)
+
+
+class TestTopEigenvalue:
+    """The top Ritz value of the Lanczos tridiagonal built from cg's
+    coefficients, the neumann series' spectral estimate."""
+
     def test_identity(self):
-        est = solvers.power_iteration(MatrixOperator(np.eye(5)))
+        est = solvers._top_eigenvalue(MatrixOperator(np.eye(5)), 0)
         np.testing.assert_allclose(est, 1.0, rtol=1e-12)
 
     def test_diagonal(self):
         op = MatrixOperator(np.diag([3.0, 1.0, 0.5]))
         np.testing.assert_allclose(
-            solvers.power_iteration(op), 3.0, rtol=1e-8
+            solvers._top_eigenvalue(op, 0), 3.0, rtol=1e-8
         )
 
     def test_dense_spd_against_eigh(self):
         rng = np.random.default_rng(8)
         for seed in range(5):
             a = _random_spd(rng, 7, cond=20.0)
-            est = solvers.power_iteration(MatrixOperator(a), seed=seed)
+            est = solvers._top_eigenvalue(MatrixOperator(a), seed)
             np.testing.assert_allclose(
                 est, np.linalg.eigvalsh(a).max(), rtol=1e-6
             )
 
+    def test_readme_scale_system_in_at_most_ten_products(self):
+        # The README MLP on fixture seed 0's core window. The expected
+        # values are 100 normalized power-iteration products' Rayleigh
+        # quotients on the same system.
+        day = 86400
+        log = data.generate_synthetic(data.SyntheticConfig(
+            n=50_000, feature_dim=20, target_cvr=0.2227,
+            delay_mean_tau=2 * day, horizon=12 * day,
+            drift_angle_per_day=0.1, seed=0))
+        splits = data.window_split(log, 8 * day, 11 * day, day)
+        spec = models.Mlp(input_dim=20, hidden_dims=(64, 64), l2_coeff=1e-2)
+        labels = data.Observed(8 * day)
+        theta = training.train(
+            splits.core, labels, spec,
+            training.TrainConfig(batch_size=1024, learning_rate=1e-3,
+                                 max_epochs=30, early_stop_patience=30),
+            splits.fit_valid)
+        y = data.labels_of(splits.core, labels)
+        for lam, expected in ((2e-2, 1.130083026), (1e-3, 1.111083026)):
+            op = CountingOperator(solvers.DampedHessianOperator(
+                spec, theta, splits.core.features, y, lam=lam))
+            est = solvers._top_eigenvalue(op, 0)
+            assert op.products <= 10
+            np.testing.assert_allclose(est, expected, rtol=1e-6)
+
 
 class TestNeumann:
     def test_calibrated_scale_leaves_a_tenth_per_term_on_the_identity(self):
-        # The power iteration finds norm 1, so the scale is 0.9 and each
+        # The Lanczos estimate finds norm 1, so the scale is 0.9 and each
         # term multiplies the residual by 1 - 0.9.
         op = MatrixOperator(np.eye(4))
         b = np.array([2.0, -1.0, 0.5, 3.0])
@@ -373,9 +416,30 @@ class TestSolve:
         for config in (solvers.default_solver_config(kind), short):
             result = solvers.solve(kind, op, b, config)
             assert result.iterations == len(result.trace) >= 1
-            assert result.residual_rel == min(1.0, min(result.trace))
+            best = min(1.0, min(result.trace))
+            if best < solvers._RESIDUAL_FLOOR:
+                # cg's eighth step lands on the float64 floor, where the
+                # loop reports the true residual instead.
+                best = float(np.linalg.norm(
+                    b - op.matvec(result.delta))) / float(np.linalg.norm(b))
+            assert result.residual_rel == best
             assert result.converged == (
                 result.residual_rel <= config.tol_rel_residual)
+
+    @pytest.mark.parametrize("kind", ["cg", "neumann"])
+    def test_residual_below_the_float64_floor_is_the_true_one(self, kind):
+        # At tolerance 0 the recurrences run on far below what float64
+        # can resolve: cg's recursive residual reaches about 1e-64 here.
+        rng = np.random.default_rng(19)
+        a = _random_spd(rng, 200, cond=10.0)
+        b = rng.standard_normal(200)
+        config = solvers.SolverConfig(tol_rel_residual=0.0)
+        result = solvers.solve(kind, MatrixOperator(a), b, config)
+        true = np.linalg.norm(b - a @ result.delta) / np.linalg.norm(b)
+        assert min(result.trace) < 1e-20
+        np.testing.assert_allclose(result.residual_rel, true, rtol=1e-12)
+        assert 1e-17 < result.residual_rel < 1e-13
+        assert not result.converged
 
     def test_unknown_kind_rejected(self):
         op = MatrixOperator(np.eye(2))
