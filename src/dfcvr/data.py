@@ -264,7 +264,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require("positive", n=self.n, delay_mean_tau=self.delay_mean_tau)
+        require("in [1, 2**63)", n=self.n, feature_dim=self.feature_dim)
+        require("positive", delay_mean_tau=self.delay_mean_tau)
         require("in [1, 2**63]", horizon=self.horizon)
         require("at least 2", feature_dim=self.feature_dim)
         require("in (0, 1)", target_cvr=self.target_cvr)

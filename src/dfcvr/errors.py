@@ -29,6 +29,8 @@ _RULES = {
     "in [0, 2**32)": lambda v: 0 <= v < 2**32,
     # A synthetic horizon: click times are drawn below it as int64.
     "in [1, 2**63]": lambda v: 1 <= v <= 2**63,
+    # An array size: numpy's dimensions are int64.
+    "in [1, 2**63)": lambda v: 1 <= v < 2**63,
 }
 
 

@@ -277,9 +277,11 @@ def evaluate_test_window(
     """Metrics of ``params`` on ``test``, the clicks of ``[t_prime, t_prime
     + d_test)``, against their eventual labels.
 
-    Raises :class:`ConfigError` when the window lacks converted or
-    unconverted clicks, since AUC is undefined there.
+    Raises :class:`ConfigError` when ``d_test`` is not positive, and when
+    the window lacks converted or unconverted clicks, since AUC is
+    undefined there.
     """
+    require("positive", d_test=d_test)
     scores = models.predict(spec, params, test.features)
     labels = labels_of(test, Oracle())
     converted = int(labels.sum())

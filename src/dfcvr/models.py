@@ -7,6 +7,8 @@ Hessian-vector products (HVPs) share a cached forward/backward state so
 that repeated HVPs at a frozen parameter vector skip the forward pass.
 Gauss-Newton products, which updates solve with, read a cache of the
 logit Jacobian's layer factors instead: one matmul per layer each way.
+Every array, a batch-sized sweep or a parameter-sized vector, is built by
+plain expressions; none is written into in place.
 
 Predictions, training and both caches read one forward sweep and one
 clamp rule: logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and
@@ -42,7 +44,7 @@ class Mlp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        require("positive", input_dim=self.input_dim,
+        require("in [1, 2**63)", input_dim=self.input_dim,
                 hidden_dims=self.hidden_dims)
         require("non-negative", l2_coeff=self.l2_coeff)
 
@@ -165,10 +167,8 @@ def _sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     inputs = [x]
     z = x
     for w, b in layers[:-1]:
-        a = z @ w.T
-        a += b
         # A NaN pre-activation propagates through the ReLU.
-        z = np.maximum(a, 0.0, out=a)
+        z = np.maximum(z @ w.T + b, 0.0)
         inputs.append(z)
     w, b = layers[-1]
     return layers, inputs, (z @ w.T + b)[:, 0]
@@ -206,9 +206,7 @@ def _backward(layers, inputs, top: np.ndarray) -> list[np.ndarray]:
     off the hidden outputs ``inputs[1:]``."""
     out = [top]
     for (w, _), z in zip(layers[:0:-1], inputs[:0:-1]):
-        delta = out[0] @ w
-        delta *= z > 0.0
-        out.insert(0, delta)
+        out.insert(0, (out[0] @ w) * (z > 0.0))
     return out
 
 
@@ -228,10 +226,10 @@ def build_ggn_factors(
     return GgnFactors(inputs, _backward(layers, inputs, ones)[:-1], h)
 
 
-def _grad_sum(state: BatchState) -> np.ndarray:
-    """Flat sum of the per-sample BCE gradients over the batch."""
-    return pack_params([(delta.T @ x, delta.sum(axis=0))
-                        for x, delta in zip(state.inputs, state.deltas)])
+def _grad_sum(state: BatchState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer sums of the per-sample BCE gradients over the batch."""
+    return [(delta.T @ x, delta.sum(axis=0))
+            for x, delta in zip(state.inputs, state.deltas)]
 
 
 def loss_and_grad(
@@ -242,10 +240,8 @@ def loss_and_grad(
     layers = unpack_params(spec, params)
     reg = 0.5 * spec.l2_coeff * sum(float(np.sum(w * w)) for w, _ in layers)
     loss = float(np.mean(state.losses)) + reg
-    grad = _grad_sum(state)
-    grad /= state.n
-    for (dw, _), (w, _) in zip(unpack_params(spec, grad), layers):
-        dw += spec.l2_coeff * w
+    grad = pack_params([(dw / state.n + spec.l2_coeff * w, db / state.n)
+                        for (dw, db), (w, _) in zip(_grad_sum(state), layers)])
     return loss, grad
 
 
@@ -253,7 +249,7 @@ def bce_grad_sum(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Sum of per-sample BCE gradients, excluding the L2 penalty."""
-    return _grad_sum(build_state(spec, params, x, y))
+    return pack_params(_grad_sum(build_state(spec, params, x, y)))
 
 
 def hvp_from_state(
@@ -287,40 +283,29 @@ def hvp_from_state(
     # Forward sweep: directional derivatives of activations. The input
     # layer's tangent is zero, so its products with it are skipped.
     r_inputs: list[np.ndarray] = [np.empty(0)]
-    for l in range(len(layers)):
-        w_l, _ = layers[l]
-        vw_l, vb_l = vs[l]
+    for l, ((w_l, _), (vw_l, vb_l)) in enumerate(zip(layers, vs)):
         if l == 0:
-            ra = inputs[0] @ vw_l.T
+            ra = inputs[0] @ vw_l.T + vb_l
         else:
-            ra = r_inputs[l] @ w_l.T
-            ra += inputs[l] @ vw_l.T
-        ra += vb_l
+            ra = r_inputs[l] @ w_l.T + inputs[l] @ vw_l.T + vb_l
         if l < len(layers) - 1:
-            ra *= masks[l]
-            r_inputs.append(ra)
+            r_inputs.append(ra * masks[l])
 
     # Reverse sweep: directional derivatives of the deltas.
     r_deltas = [np.empty(0)] * len(layers)
-    ra *= h[:, None]
-    r_deltas[-1] = ra
+    r_deltas[-1] = ra * h[:, None]
     for l in range(len(layers) - 1, 0, -1):
-        w_l, _ = layers[l]
-        r_delta = r_deltas[l] @ w_l
-        r_delta += deltas[l] @ vs[l][0]
-        r_delta *= masks[l - 1]
-        r_deltas[l - 1] = r_delta
+        r_deltas[l - 1] = ((r_deltas[l] @ layers[l][0] + deltas[l] @ vs[l][0])
+                           * masks[l - 1])
 
-    out = np.empty(num_params(spec))
-    for l, (rdw, rdb) in enumerate(unpack_params(spec, out)):
-        np.matmul(r_deltas[l].T, inputs[l], out=rdw)
+    out = []
+    for l, (vw_l, _) in enumerate(vs):
+        rdw = r_deltas[l].T @ inputs[l]
         if l > 0:
-            rdw += deltas[l].T @ r_inputs[l]
-        rdw /= n
-        rdw += spec.l2_coeff * vs[l][0]
-        np.sum(r_deltas[l], axis=0, out=rdb)
-        rdb /= n
-    return out
+            rdw = rdw + deltas[l].T @ r_inputs[l]
+        out.append((rdw / n + spec.l2_coeff * vw_l,
+                    r_deltas[l].sum(axis=0) / n))
+    return pack_params(out)
 
 
 def ggn_from_factors(
@@ -344,10 +329,9 @@ def ggn_from_factors(
     # The output layer's factor is 1.
     s = inputs[-1] @ vs[-1][0][0] + vs[-1][1]
     for in_l, d_l, (vw, vb) in zip(inputs, jacobians, vs):
-        s += np.einsum("ij,ij->i", d_l @ vw, in_l)
-        s += d_l @ vb
+        s = s + np.einsum("ij,ij->i", d_l @ vw, in_l) + d_l @ vb
     h = factors.h[rows]
-    s *= h / len(h)
+    s = s * (h / len(h))
 
     out = [(d_l.T @ (in_l * s[:, None]) + spec.l2_coeff * vw, s @ d_l)
            for in_l, d_l, (vw, _) in zip(inputs, jacobians, vs)]

@@ -35,8 +35,10 @@ _VALID = {
 # (type, field, bad value, pattern the error message must match)
 _BAD = [
     ("SyntheticConfig", "n", 0, "n must"),
+    ("SyntheticConfig", "n", 2**63, "n must"),
     ("SyntheticConfig", "feature_dim", 0, "feature_dim"),
     ("SyntheticConfig", "feature_dim", 1, "feature_dim"),
+    ("SyntheticConfig", "feature_dim", 2**63, "feature_dim"),
     ("SyntheticConfig", "target_cvr", 0.0, "target_cvr"),
     ("SyntheticConfig", "target_cvr", 1.0, "target_cvr"),
     ("SyntheticConfig", "delay_mean_tau", 0.0, "delay_mean_tau"),

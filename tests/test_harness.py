@@ -649,6 +649,15 @@ def _bad_input_argv(case, tmp_path):
     cnn_config = tmp_path / "cnn.json"
     cnn_config.write_text(json.dumps(
         {**logreg, "model": {"kind": "cnn", "input_dim": 4}}))
+    # A size past int64 in a config's synthetic log and in its model.
+    huge = 99999999999999999999
+    huge_n_config = tmp_path / "huge_n.json"
+    huge_n_config.write_text(json.dumps({**logreg, "data": {
+        "n": huge, "feature_dim": 4, "target_cvr": 0.2,
+        "delay_mean_tau": 1000.0, "horizon": 12 * DAY}}))
+    huge_width_config = tmp_path / "huge_width.json"
+    huge_width_config.write_text(json.dumps(
+        {**logreg, "model": {"input_dim": 4, "hidden_dims": [huge]}}))
     for name in ("vanilla_seed0.ckpt", "offline_report.json"):
         (tmp_path / name / name).mkdir(parents=True)
     missing = tmp_path / "missing"
@@ -700,6 +709,17 @@ def _bad_input_argv(case, tmp_path):
             *generate, "--horizon", "99999999999999999999"],
         "generate_pay_ts_beyond_int64": [
             *generate, "--delay-mean-tau", "1e30"],
+        "generate_n_beyond_int64": [*generate, "--n", str(huge)],
+        "generate_feature_dim_beyond_int64": [
+            *generate, "--feature-dim", str(huge)],
+        "train_width_beyond_int64": [
+            *train, "--model", "mlp", "--hidden-dims", str(huge)],
+        "offline_n_beyond_int64_config": [
+            "offline", "--config", str(huge_n_config)],
+        "offline_width_beyond_int64_config": [
+            "offline", "--config", str(huge_width_config)],
+        "evaluate_zero_d_test": [*evaluate[:-1], "0"],
+        "evaluate_negative_d_test": [*evaluate[:-1], "-5"],
         "offline_nan_damping_config": [
             "offline", "--config", nan_damping_config],
         "train_negative_width": [*train, "--hidden-dims=-5"],
@@ -767,6 +787,13 @@ _OUT_OF_RANGE_SETTING = {
     "train_seed_beyond_32_bits": "seed",
     "generate_seed_beyond_32_bits": "seed",
     "generate_horizon_beyond_int64": "horizon",
+    "generate_n_beyond_int64": "n",
+    "generate_feature_dim_beyond_int64": "feature_dim",
+    "train_width_beyond_int64": "hidden_dims",
+    "offline_n_beyond_int64_config": "n",
+    "offline_width_beyond_int64_config": "hidden_dims",
+    "evaluate_zero_d_test": "d_test",
+    "evaluate_negative_d_test": "d_test",
 }
 
 

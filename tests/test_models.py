@@ -153,6 +153,24 @@ class TestGrad:
         g2 = _grad(spec, theta, x, y)
         np.testing.assert_array_equal(g1, g2)
 
+    def test_nan_hidden_pre_activation_propagates(self):
+        # The ReLU passes a NaN pre-activation on rather than zeroing it,
+        # so the per-sample losses and the BCE gradient from a NaN weight
+        # are not finite, as predict's scores are not. (The mean loss is
+        # NaN through the L2 term too, which multiplies every weight even
+        # when l2_coeff is 0.)
+        spec = Mlp(4, (3,), 0.0)
+        rng = np.random.default_rng(0)
+        theta = models.init_params(spec, 0)
+        x = rng.standard_normal((16, 4))
+        y = (rng.random(16) < 0.5).astype(np.float64)
+        theta[0] = np.nan  # a weight of the first hidden unit
+        assert not np.isfinite(_loss(spec, theta, x, y))
+        assert not np.all(np.isfinite(models.predict(spec, theta, x)))
+        state = models.build_state(spec, theta, x, y)
+        assert not np.all(np.isfinite(state.losses))
+        assert not np.all(np.isfinite(models.bce_grad_sum(spec, theta, x, y)))
+
 
 class TestHvp:
     def test_zero_direction(self):
@@ -249,6 +267,8 @@ class TestSpec:
 
     @pytest.mark.parametrize("input_dim, hidden_dims", [
         (0, ()), (-1, (4,)), (3, (0,)), (3, (4, -5)),
+        # Past int64, numpy cannot size the layer.
+        (2**63, ()), (3, (2**63,)), (3, (4, 99999999999999999999)),
     ])
     def test_nonpositive_widths_rejected(self, input_dim, hidden_dims):
         with pytest.raises(ConfigError, match="input_dim|hidden_dims"):

@@ -181,6 +181,20 @@ class TestTrainingLog:
         assert all(np.isfinite(float(r[2])) for r in rows)
 
 
+class TestAdam:
+    def test_first_step_is_lr_g_over_abs_g_plus_eps(self):
+        # After one step both moments are bias-corrected back to g and g**2,
+        # so each coordinate moves by lr * g / (|g| + eps).
+        rng = np.random.default_rng(0)
+        grad = rng.standard_normal(60) * 10.0 ** rng.integers(-10, 3, 60)
+        grad[:5] = 0.0
+        params = np.zeros(60)  # so that -params is the step, unrounded
+        optim.Adam(60, 0.02).step(params, grad)
+        np.testing.assert_allclose(
+            -params, 0.02 * grad / (np.abs(grad) + optim.EPS),
+            rtol=1e-12, atol=0.0)
+
+
 class TestFailureModes:
     def test_divergence_raises_with_location(self, tmp_path):
         x, y = _blobs(seed=8, n=200)
