@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NumericalError, require,
                      writing)
+from .optim import keyed_rng
 
 Timestamp = int
 
@@ -268,14 +269,11 @@ class SyntheticConfig:
         require("positive", delay_mean_tau=self.delay_mean_tau)
         require("in [1, 2**63]", horizon=self.horizon)
         require("at least 2", feature_dim=self.feature_dim)
+        require("addressable as float64",
+                **{"n * feature_dim": self.n * self.feature_dim})
         require("in (0, 1)", target_cvr=self.target_cvr)
         require("finite", drift_angle_per_day=self.drift_angle_per_day)
         require("in [0, 2**32)", seed=self.seed)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    # Counter-based generator: a fixed seed fixes the whole stream layout.
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
@@ -286,7 +284,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     enabled; the intercept is bisected so the mean probability matches
     ``target_cvr``. Identical configs produce identical datasets.
     """
-    rng = _rng(config.seed)
+    rng = keyed_rng(config.seed)
     n, d = config.n, config.feature_dim
 
     click_ts = rng.integers(0, config.horizon, size=n, dtype=np.int64)

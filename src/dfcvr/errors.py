@@ -6,6 +6,7 @@ exit with 1, numerical failures with 2.
 
 import contextlib
 import math
+import sys
 from typing import get_args, get_origin
 
 
@@ -25,12 +26,14 @@ _RULES = {
     "in (0, 1)": lambda v: 0 < v < 1,
     # A synthetic log's feature dimension: its drift plane needs two axes.
     "at least 2": lambda v: v >= 2,
-    # A seed: optim.epoch_permutation packs it into 32 bits of its key.
+    # A seed: optim.minibatches packs it into 32 bits of its key.
     "in [0, 2**32)": lambda v: 0 <= v < 2**32,
     # A synthetic horizon: click times are drawn below it as int64.
     "in [1, 2**63]": lambda v: 1 <= v <= 2**63,
     # An array size: numpy's dimensions are int64.
     "in [1, 2**63)": lambda v: 1 <= v < 2**63,
+    # A float64 count: numpy sizes an array in intp bytes, up to sys.maxsize.
+    "addressable as float64": lambda v: 8 * v <= sys.maxsize,
 }
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, decode, require, writing
+from .optim import keyed_rng
 
 LOGIT_CLAMP = 30.0
 PROB_CLIP = 1e-7
@@ -46,6 +47,9 @@ class Mlp:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         require("in [1, 2**63)", input_dim=self.input_dim,
                 hidden_dims=self.hidden_dims)
+        require("addressable as float64",
+                **{"the parameter count of input_dim and hidden_dims":
+                   num_params(self)})
         require("non-negative", l2_coeff=self.l2_coeff)
 
 
@@ -99,7 +103,7 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """
     if not spec.hidden_dims:
         return np.zeros(num_params(spec))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = keyed_rng(seed)
     shapes = layer_shapes(spec)
     layers = []
     for idx, (o, i) in enumerate(shapes):

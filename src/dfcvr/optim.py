@@ -1,4 +1,4 @@
-"""Adam optimizer and shuffling helpers over flat parameter vectors."""
+"""Adam over flat parameter vectors, and the package's one seeding policy."""
 
 from __future__ import annotations
 
@@ -7,14 +7,17 @@ import numpy as np
 from .errors import require
 
 
-def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
-    """Deterministic shuffle keyed by (seed, epoch).
+def keyed_rng(key: int) -> np.random.Generator:
+    """Every random stream in the package: Philox is counter-based, so a
+    stream depends only on its key, never on draws made elsewhere."""
+    return np.random.Generator(np.random.Philox(key=key))
 
-    Counter-based bit generator: the permutation depends only on the key,
-    never on how many draws happened elsewhere.
-    """
-    key = (np.uint64(seed) << np.uint64(32)) + np.uint64(epoch)
-    return np.random.Generator(np.random.Philox(key=key)).permutation(n)
+
+def minibatches(seed: int, epoch: int, n: int, size: int) -> list[np.ndarray]:
+    """Runs of ``size`` rows (the last may be shorter) of a shuffle of
+    ``range(n)`` keyed by the seed in the high 32 bits, the epoch below."""
+    perm = keyed_rng((int(seed) << 32) + epoch).permutation(n)
+    return [perm[start : start + size] for start in range(0, n, size)]
 
 
 # Adam's moment decay rates and denominator guard; no caller tunes them.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, NumericalError, require
-from .optim import Adam, epoch_permutation
+from .optim import Adam, keyed_rng, minibatches
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def _top_eigenvalue(operator, seed: int) -> float:
     start (Golub & Van Loan 10.2), once a step moves it by at most 1e-9 of
     itself or cg's default steps end: 0 if the first step finds no positive
     curvature, NaN once a product is not finite."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = keyed_rng(seed)
     v = rng.standard_normal(operator.dim)
     diag, off, shift, estimate = [], [], 0.0, 0.0
     with contextlib.suppress(_Breakdown):
@@ -322,9 +322,7 @@ def sq_solve(operator, b: np.ndarray, config: SolverConfig):
     adam = Adam(b.shape[0], config.learning_rate)
     n = operator.n_samples
     for epoch in range(1, config.max_epochs + 1):
-        perm = epoch_permutation(config.seed, epoch, n)
-        for begin in range(0, n, config.minibatch_size):
-            rows = perm[begin : begin + config.minibatch_size]
+        for rows in minibatches(config.seed, epoch, n, config.minibatch_size):
             adam.step(delta, operator.matvec_batch(delta, rows) - b)
         yield delta, float(np.linalg.norm(operator.matvec(delta) - b))
 

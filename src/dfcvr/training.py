@@ -1,7 +1,7 @@
 """Minibatch Adam training with early stopping on validation log-loss.
 
-Shuffling uses a counter-based generator keyed by (seed, epoch), so the
-batch sequence is a pure function of the config and data. Training runs
+Minibatches come from ``optim.minibatches``, keyed by (seed, epoch), so
+the batch sequence is a pure function of the config and data. Training runs
 single-threaded over float64 arrays; reruns are bit-identical.
 """
 
@@ -17,7 +17,7 @@ from . import models
 from .data import Dataset, LabelView, labels_of
 from .errors import ConfigError, NumericalError, require, writing
 from .metrics import log_loss
-from .optim import Adam, epoch_permutation
+from .optim import Adam, minibatches
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,10 @@ def train(
     n = len(dataset)
     with _metrics_log(metrics_log_path) as log_row:
         for epoch in range(1, config.max_epochs + 1):
-            perm = epoch_permutation(config.seed, epoch, n)
             loss_sum = 0.0
-            for batch_index, start in enumerate(
-                range(0, n, config.batch_size)
+            for batch_index, rows in enumerate(
+                minibatches(config.seed, epoch, n, config.batch_size)
             ):
-                rows = perm[start : start + config.batch_size]
                 loss, g = models.loss_and_grad(spec, params, x[rows], y[rows])
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, batch_index)

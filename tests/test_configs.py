@@ -30,6 +30,7 @@ _VALID = {
         model=models.LogisticRegression(input_dim=3)),
     "InfluenceRequest": lambda: influence.InfluenceRequest(
         reversal_indices=np.array([], dtype=np.int64)),
+    "Mlp": lambda: models.Mlp(input_dim=3, hidden_dims=(4,)),
 }
 
 # (type, field, bad value, pattern the error message must match)
@@ -39,6 +40,9 @@ _BAD = [
     ("SyntheticConfig", "feature_dim", 0, "feature_dim"),
     ("SyntheticConfig", "feature_dim", 1, "feature_dim"),
     ("SyntheticConfig", "feature_dim", 2**63, "feature_dim"),
+    # Below 2**63 each, but more float64 features than numpy can size.
+    ("SyntheticConfig", "n", 2**62, r"n \* feature_dim must"),
+    ("SyntheticConfig", "feature_dim", 2**61, r"n \* feature_dim must"),
     ("SyntheticConfig", "target_cvr", 0.0, "target_cvr"),
     ("SyntheticConfig", "target_cvr", 1.0, "target_cvr"),
     ("SyntheticConfig", "delay_mean_tau", 0.0, "delay_mean_tau"),
@@ -90,6 +94,10 @@ _BAD = [
     ("InfluenceRequest", "damping", -1.0, "damping"),
     ("InfluenceRequest", "damping", np.nan, "damping"),
     ("InfluenceRequest", "damping", np.inf, "damping"),
+    # A parameter vector larger than numpy can size.
+    ("Mlp", "input_dim", 2**62, "parameter count of input_dim and"),
+    ("Mlp", "hidden_dims", (2**62,), "parameter count of input_dim and"),
+    ("Mlp", "hidden_dims", (4, 2**31, 2**31), "parameter count of input_dim"),
 ]
 _IDS = [f"{kind}-{field}-{value!r}" for kind, field, value, _ in _BAD]
 

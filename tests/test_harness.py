@@ -712,8 +712,11 @@ def _bad_input_argv(case, tmp_path):
         "generate_n_beyond_int64": [*generate, "--n", str(huge)],
         "generate_feature_dim_beyond_int64": [
             *generate, "--feature-dim", str(huge)],
+        "generate_features_beyond_intp": [*generate, "--n", str(2**62)],
         "train_width_beyond_int64": [
             *train, "--model", "mlp", "--hidden-dims", str(huge)],
+        "train_parameters_beyond_intp": [
+            *train, "--model", "mlp", "--hidden-dims", str(2**62)],
         "offline_n_beyond_int64_config": [
             "offline", "--config", str(huge_n_config)],
         "offline_width_beyond_int64_config": [
@@ -809,6 +812,11 @@ _MESSAGE = {
     "offline_bad_seeds": "bad seeds list: '1,x'",
     "generate_pay_ts_beyond_int64":
         "delay_mean_tau 1e+30 puts payment times past the int64 range",
+    # Sizes below int64 whose float64 arrays numpy still cannot size.
+    "generate_features_beyond_intp":
+        "n * feature_dim must be finite and addressable as float64",
+    "train_parameters_beyond_intp": "the parameter count of input_dim and "
+        "hidden_dims must be finite and addressable as float64",
 }
 
 

@@ -195,6 +195,29 @@ class TestAdam:
             rtol=1e-12, atol=0.0)
 
 
+class TestSeeding:
+    @pytest.mark.parametrize("seed, epoch, n, size", [
+        (0, 1, 10, 4), (7, 30, 12, 3), (2**32 - 1, 2**31, 5, 8)])
+    def test_minibatches_cut_the_keyed_shuffle(self, seed, epoch, n, size):
+        perm = optim.keyed_rng((seed << 32) + epoch).permutation(n)
+        runs = optim.minibatches(seed, epoch, n, size)
+        assert [len(r) for r in runs] == [
+            min(size, n - start) for start in range(0, n, size)]
+        np.testing.assert_array_equal(np.concatenate(runs), perm)
+
+    def test_streams_keep_their_keys(self):
+        # Today's keys: a change of key, such as a purpose tag, changes
+        # every seeded output and must rewrite these values.
+        assert [r.tolist() for r in optim.minibatches(0, 1, 10, 4)] == [
+            [6, 0, 7, 9], [4, 1, 8, 5], [2, 3]]
+        assert models.init_params(models.Mlp(3, (4,)), 0)[:3].tolist() == [
+            -1.3815544093468557, -0.731009262854454, -1.099053650236594]
+        log = data.generate_synthetic(data.SyntheticConfig(
+            n=100, feature_dim=3, target_cvr=0.2, delay_mean_tau=86400,
+            horizon=12 * 86400))
+        assert log.click_ts[:3].tolist() == [36020, 11971, 634470]
+
+
 class TestFailureModes:
     def test_divergence_raises_with_location(self, tmp_path):
         x, y = _blobs(seed=8, n=200)
