@@ -303,15 +303,17 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_experiment_config(args)
         _emit(protocols[args.command](config), None)
         return 0
-    except DfcvrError as exc:
+    # A size that passes every check can still be more than the host can
+    # allocate; numpy's message says how much was asked for.
+    except (DfcvrError, MemoryError) as exc:
         _print_error(exc)
         return 2 if isinstance(exc, NumericalError) else 1
 
 
-def _print_error(exc: DfcvrError) -> None:
+def _print_error(exc: DfcvrError | MemoryError) -> None:
     stage = getattr(exc, "stage", None)
     prefix = f"dfcvr: error in stage '{stage}': " if stage else "dfcvr: error: "
-    print(f"{prefix}{exc}", file=sys.stderr)
+    print(f"{prefix}{str(exc) or 'out of memory'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DataFormatError, NumericalError, require,
-                     writing)
+from .errors import (ConfigError, DataFormatError, NumericalError, reading,
+                     require, writing)
 from .optim import keyed_rng
 
 Timestamp = int
@@ -370,11 +370,7 @@ def load_csv(path: str) -> Dataset:
     :func:`_parse_body` reads it in bulk, and what that declines, or a
     pipe, is read row by row through a text layer on the same handle.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
-    with fh:
+    with reading(path), open(path, "rb") as fh:
         # A pipe cannot be read twice, so it goes to the row loop.
         if fh.seekable():
             if (dataset := _parse_body(fh)) is not None:

@@ -79,6 +79,15 @@ class NumericalError(DfcvrError):
 
 
 @contextlib.contextmanager
+def reading(path: str):
+    """Raise an ``OSError`` from reading ``path`` as a DataFormatError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
 def writing(path: str):
     """Raise an ``OSError`` from writing ``path`` as a DataFormatError."""
     try:

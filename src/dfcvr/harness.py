@@ -19,7 +19,8 @@ import json
 import os
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -97,6 +98,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_fields(cls, raw, "config")  # before data and model are read
         try:
             data = _data_from_json(raw["data"])
             return _from_json(cls, raw, "config", data=data,
@@ -107,7 +109,8 @@ class ExperimentConfig:
 
 # The JSON codec for experiment configs. Every block is a dataclass read
 # field by field: keys it does not declare are rejected, absent keys take
-# the field default, and values are coerced to the annotated types.
+# the field default or, for a field without one, are rejected too, and
+# values are coerced to the annotated types.
 
 
 def _to_json(value: Any) -> Any:
@@ -126,20 +129,34 @@ def _to_json(value: Any) -> Any:
     return value
 
 
-def _check_keys(raw: dict, allowed: Iterable[str], where: str) -> None:
+def _check_keys(raw: Any, allowed: Iterable[str], where: str,
+                required: Iterable[str] = ()) -> None:
+    """Reject a ``where`` block that is not an object, holds a key not in
+    ``allowed`` or lacks one in ``required``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown {where} keys: {', '.join(sorted(unknown))}"
         )
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
+
+
+def _check_fields(cls: type, raw: Any, where: str) -> None:
+    """:func:`_check_keys` against dataclass ``cls``'s fields, requiring
+    those without a default."""
+    _check_keys(raw, (f.name for f in fields(cls)), where,
+                (f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING))
 
 
 def _from_json(cls: type, raw: dict, where: str, **given: Any) -> Any:
     """Dataclass ``cls`` from its JSON object ``raw``, the block ``where``
     (``"config"`` at the top level); ``given`` holds decoded fields."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object, got {raw!r}")
-    _check_keys(raw, (f.name for f in fields(cls)), where)
+    _check_fields(cls, raw, where)
     hints = get_type_hints(cls)
     prefix = "" if where == "config" else f"{where}."
     decoded = {k: _coerce(hints[k], v, prefix + k)
@@ -174,10 +191,10 @@ MODEL_DEFAULTS = {"kind": "mlp", "hidden_dims": (256, 256, 128),
                   "l2_coeff": 0.0}
 
 
-def _model_from_json(raw: dict, data: SyntheticConfig | str):
-    header = {**MODEL_DEFAULTS, **raw}
-    _check_keys(header, ("kind", *(f.name for f in fields(models.Mlp))),
+def _model_from_json(raw: Any, data: SyntheticConfig | str):
+    _check_keys(raw, ("kind", *(f.name for f in fields(models.Mlp))),
                 "model")
+    header = {**MODEL_DEFAULTS, **raw}
     if header.get("input_dim") is None:
         if not isinstance(data, SyntheticConfig):
             raise ConfigError("model.input_dim is required for CSV data")

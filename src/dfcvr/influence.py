@@ -17,7 +17,7 @@ keeps the system positive definite for non-convex models.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -78,7 +78,7 @@ class InfluenceRequest:
                    include_add=include_add, **solve)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfluenceRhs:
     """Right-hand side ``b`` of the update system, and its two columns:
     ``delay``, the label-reversal terms, and ``add``, the arrival terms.
@@ -182,8 +182,7 @@ class InfluenceSystem:
                 delta=result.delta,
                 residual_rel=result.residual_rel,
             )
-        result.wall_time += self.build_time
-        return result
+        return replace(result, wall_time=result.wall_time + self.build_time)
 
 
 def delta_total(

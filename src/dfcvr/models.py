@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, decode, require, writing
+from .errors import (ConfigError, DataFormatError, decode, reading, require,
+                     writing)
 from .optim import keyed_rng
 
 LOGIT_CLAMP = 30.0
@@ -122,7 +123,7 @@ def predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _link(_sweep(spec, params, np.asarray(x, dtype=np.float64))[2])[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchState:
     """Forward and backward quantities at a frozen parameter vector.
 
@@ -138,13 +139,13 @@ class BatchState:
     deltas: list[np.ndarray]
     h: np.ndarray
     losses: np.ndarray
-    n: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.n = self.inputs[0].shape[0]
+    @property
+    def n(self) -> int:
+        return self.inputs[0].shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GgnFactors:
     """The logit Jacobian ``J`` at a frozen parameter vector, by layer.
 
@@ -402,11 +403,7 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, np.ndarray]:
     Raises :class:`DataFormatError` for an unreadable, truncated or
     corrupt file and for parameters that are not all finite.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
-    with fh:
+    with reading(path), open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a model checkpoint")

@@ -29,9 +29,9 @@ EPS = 1e-8
 class Adam:
     """Adam with bias-corrected moment estimates.
 
-    State arrays match the parameter vector; ``step`` mutates the given
-    parameters in place. The update sequence is deterministic given the
-    gradient sequence.
+    State arrays match the parameter vector; ``step`` returns the stepped
+    parameters and writes into neither argument. The update sequence is
+    deterministic given the gradient sequence.
     """
 
     def __init__(self, dim: int, learning_rate: float) -> None:
@@ -41,10 +41,10 @@ class Adam:
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
         self.m = BETA1 * self.m + (1.0 - BETA1) * grad
         self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
         m_hat = self.m / (1.0 - BETA1**self.t)
         v_hat = self.v / (1.0 - BETA2**self.t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

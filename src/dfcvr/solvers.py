@@ -70,7 +70,7 @@ def check_damping(lam: float) -> None:
     require("non-negative", damping=lam)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     """Best iterate found, its relative residual, and the residual trace.
 
@@ -149,7 +149,7 @@ class DampedHessianOperator:
             stop = min(start + self.hvp_batch_size, n)
             part = models.ggn_from_factors(
                 self.spec, self._factors, v, rows=slice(start, stop))
-            acc += part * ((stop - start) / n)
+            acc = acc + part * ((stop - start) / n)
         return acc + self.lam * v
 
     def matvec_batch(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -171,8 +171,8 @@ def _solve_loop(diverged: str):
     """Make a solver from a generator of its steps.
 
     The generator yields ``(delta, residual norm)``, cg also its ``(alpha,
-    beta)``, once per CG iteration, series term or epoch, and may change
-    ``delta`` in place afterwards. sq recomputes ``norm(b - A delta)`` each
+    beta)``, once per CG iteration, series term or epoch, and writes into
+    no ``delta`` it has yielded. sq recomputes ``norm(b - A delta)`` each
     epoch; cg and neumann carry the residual by recurrence, equal to it in
     exact arithmetic, and drifting from it near the float64 floor. The
     loop keeps what every solver shares: the clock, the ``b = 0`` result,
@@ -202,7 +202,7 @@ def _solve_loop(diverged: str):
                         raise _Breakdown(diverged.format(len(trace) + 1))
                     trace.append(rel)
                     if rel < best_rel:
-                        best_delta, best_rel = delta.copy(), rel
+                        best_delta, best_rel = delta, rel
                     if best_rel <= config.tol_rel_residual:
                         break
             except _Breakdown as exc:
@@ -233,8 +233,7 @@ def cg_solve(operator, b: np.ndarray, config: SolverConfig):
     curvature direction, which means the damping is too small.
     """
     delta = np.zeros_like(b)
-    r = b.copy()
-    d = r.copy()
+    r = d = b
     rs = float(r @ r)
     for _ in range(min(operator.dim, config.max_iters)):
         ad = operator.matvec(d)
@@ -245,8 +244,8 @@ def cg_solve(operator, b: np.ndarray, config: SolverConfig):
                 f"(d'Ad = {dad:.3e}); increase the damping"
             )
         alpha = rs / dad
-        delta += alpha * d
-        r -= alpha * ad
+        delta = delta + alpha * d
+        r = r - alpha * ad
         rs_new = float(r @ r)
         beta = rs_new / rs
         yield delta, np.sqrt(rs_new), (alpha, beta)
@@ -300,10 +299,10 @@ def neumann_solve(operator, b: np.ndarray, config: SolverConfig):
                          "not positive definite")
     scale = _NEUMANN_SCALE_MARGIN / estimate
     delta = np.zeros_like(b)
-    w = b.copy()
+    w = b
     for _ in range(config.max_iters):
-        delta += scale * w
-        w -= scale * operator.matvec(w)
+        delta = delta + scale * w
+        w = w - scale * operator.matvec(w)
         yield delta, float(np.linalg.norm(w))
 
 
@@ -323,7 +322,7 @@ def sq_solve(operator, b: np.ndarray, config: SolverConfig):
     n = operator.n_samples
     for epoch in range(1, config.max_epochs + 1):
         for rows in minibatches(config.seed, epoch, n, config.minibatch_size):
-            adam.step(delta, operator.matvec_batch(delta, rows) - b)
+            delta = adam.step(delta, operator.matvec_batch(delta, rows) - b)
         yield delta, float(np.linalg.norm(operator.matvec(delta) - b))
 
 

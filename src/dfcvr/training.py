@@ -77,7 +77,7 @@ def train(
     params = models.init_params(spec, config.seed)
     adam = Adam(models.num_params(spec), config.learning_rate)
 
-    best_params = params.copy()
+    best_params = params
     best_ll = log_loss(models.predict(spec, params, xv), yv)
     epochs_since_best = 0
 
@@ -91,7 +91,7 @@ def train(
                 loss, g = models.loss_and_grad(spec, params, x[rows], y[rows])
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, batch_index)
-                adam.step(params, g)
+                params = adam.step(params, g)
                 loss_sum += loss * rows.size
             # No later loss checks the epoch's last step.
             scores = models.predict(spec, params, xv)
@@ -102,7 +102,7 @@ def train(
             log_row((epoch, train_loss, valid_ll))
             if valid_ll < best_ll:
                 best_ll = valid_ll
-                best_params = params.copy()
+                best_params = params
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1

@@ -646,6 +646,10 @@ def _bad_input_argv(case, tmp_path):
         (tmp_path / "wrong_kind.json").write_text(
             json.dumps({**logreg, **_WRONG_KIND_CONFIG[case][0]}))
         return ["offline", "--config", str(tmp_path / "wrong_kind.json")]
+    if case in _MALFORMED_CONFIG:
+        (tmp_path / "malformed.json").write_text(
+            json.dumps(_MALFORMED_CONFIG[case][0](logreg)))
+        return ["offline", "--config", str(tmp_path / "malformed.json")]
     cnn_config = tmp_path / "cnn.json"
     cnn_config.write_text(json.dumps(
         {**logreg, "model": {"kind": "cnn", "input_dim": 4}}))
@@ -858,6 +862,30 @@ _WRONG_KIND_CONFIG = {
 }
 
 
+
+def _without(raw, key):
+    return {k: v for k, v in raw.items() if k != key}
+
+
+# Bad-input configs, as a function of a config that runs, that leave out a
+# key without a default or are not an object, and their whole error.
+_MALFORMED_CONFIG = {
+    "offline_config_without_t": (
+        lambda raw: _without(raw, "t"), "missing config keys: t"),
+    "offline_config_without_data": (
+        lambda raw: _without(raw, "data"), "missing config keys: data"),
+    "offline_data_without_n_config": (
+        lambda raw: {**raw, "data": {
+            "feature_dim": 4, "target_cvr": 0.2, "delay_mean_tau": 1000.0,
+            "horizon": 12 * DAY}},
+        "missing data keys: n"),
+    "offline_list_config": (
+        lambda raw: [1, 2], "config must be an object, got [1, 2]"),
+    "offline_list_model_config": (
+        lambda raw: {**raw, "model": [1]}, "model must be an object, got [1]"),
+}
+
+
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", [
         "train_missing_csv", "evaluate_missing_checkpoint",
@@ -877,8 +905,8 @@ class TestCliExitCodes:
         "update_out_in_missing_dir", "update_report_in_missing_dir",
         "evaluate_report_in_missing_dir", "offline_out_dir_is_a_file",
         "offline_checkpoint_is_a_directory", "offline_report_is_a_directory",
-        *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG, *_TRAIN_END,
-        *_MESSAGE,
+        *_OUT_OF_RANGE_SETTING, *_WRONG_KIND_CONFIG, *_MALFORMED_CONFIG,
+        *_TRAIN_END, *_MESSAGE,
     ])
     def test_bad_input_file_is_one_without_traceback(
         self, tmp_path, capsys, case
@@ -900,6 +928,8 @@ class TestCliExitCodes:
                            "field larger than field limit (131072)\n")
         if case in _TRAIN_END:
             assert err == f"dfcvr: {_TRAIN_END[case]}\n"
+        if case in _MALFORMED_CONFIG:
+            assert err == f"dfcvr: error: {_MALFORMED_CONFIG[case][1]}\n"
         if case in _MESSAGE:
             assert _MESSAGE[case] in err
 
@@ -924,6 +954,32 @@ class TestCliExitCodes:
         assert err.startswith(
             f"dfcvr: error in stage 'data': {missing}: cannot read: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["generate", "offline"])
+    def test_an_allocation_the_host_refuses_is_one(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # What numpy raises for a log that passes every size check but not
+        # the host's memory, without allocating it here.
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000000000,) and data type int64")
+
+        def refuse(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(harness, "generate_synthetic", refuse)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_tiny_config().to_json_dict()))
+        argv = {"generate": [
+                    "generate", "--n", "1000000000000", "--feature-dim", "2",
+                    "--target-cvr", "0.2", "--delay-mean-tau", "10",
+                    "--horizon", "100", "--out", str(tmp_path / "huge.csv")],
+                "offline": ["offline", "--config", str(path)]}[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"dfcvr: error: {message}\n"
+        assert not (tmp_path / "huge.csv").exists()
 
     def test_solver_choices_are_the_registry(self, capsys):
         choices = "--solver {" + ",".join(solvers.SOLVERS) + "}"

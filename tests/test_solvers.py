@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfcvr import data, models, solvers, training
+from dfcvr import data, models, optim, solvers, training
 from dfcvr.errors import ConfigError
 
 from dense_operator import MatrixOperator
@@ -460,3 +460,39 @@ class TestSolve:
         op = MatrixOperator(np.eye(3))
         with pytest.raises(ConfigError, match="right-hand side"):
             solvers.solve(kind, op, np.ones(2))
+
+
+class _RecordingOperator(MatrixOperator):
+    """A dense operator that keeps every vector it is handed, with a copy
+    of the value it had then."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        super().__init__(matrix)
+        self.handed = []
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.handed.append((v, v.copy()))
+        return super().matvec(v)
+
+
+class TestNothingHandedOutIsWritten:
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_solvers_write_into_neither_b_nor_an_iterate(self, kind):
+        rng = np.random.default_rng(20)
+        op = _RecordingOperator(_random_spd(rng, 8, cond=10.0))
+        b = rng.standard_normal(8)
+        b.setflags(write=False)
+        result = solvers.solve(kind, op, b)
+        assert result.iterations >= 1
+        steps = getattr(solvers, f"{kind}_solve").__wrapped__
+        yielded = [(delta, delta.copy()) for delta, *_ in
+                   steps(op, b, solvers.default_solver_config(kind))]
+        for array, value in op.handed + yielded:
+            np.testing.assert_array_equal(array, value)
+
+    def test_adam_steps_a_read_only_vector(self):
+        params = np.zeros(3)
+        params.setflags(write=False)
+        stepped = optim.Adam(3, 0.5).step(params, np.array([1.0, -2.0, 0.0]))
+        np.testing.assert_array_equal(params, np.zeros(3))
+        np.testing.assert_allclose(stepped, [-0.5, 0.5, 0.0], rtol=1e-7)

@@ -189,7 +189,7 @@ class TestAdam:
         grad = rng.standard_normal(60) * 10.0 ** rng.integers(-10, 3, 60)
         grad[:5] = 0.0
         params = np.zeros(60)  # so that -params is the step, unrounded
-        optim.Adam(60, 0.02).step(params, grad)
+        params = optim.Adam(60, 0.02).step(params, grad)
         np.testing.assert_allclose(
             -params, 0.02 * grad / (np.abs(grad) + optim.EPS),
             rtol=1e-12, atol=0.0)
