@@ -204,10 +204,11 @@ def _model_from_json(raw: Any, data: SyntheticConfig | str):
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Attach the failing stage to package errors raised inside."""
+    """Attach the failing stage to package errors, and to an allocation
+    the host refuses, raised inside."""
     try:
         yield
-    except DfcvrError as exc:
+    except (DfcvrError, MemoryError) as exc:
         if not getattr(exc, "stage", None):
             exc.stage = name
         raise

@@ -147,6 +147,8 @@ class InfluenceSystem:
     """The update system of ``request``, built once and solved as often
     as needed: the right-hand side of :func:`build_rhs`, and the damped
     curvature operator over ``dataset`` at ``theta``, built together.
+    ``config`` is the request's solver config, its solver's defaults when
+    None, and sets the operator's precision by :func:`solvers.cache_dtype`.
     ``build_time`` is the wall time spent building both.
     """
 
@@ -155,10 +157,12 @@ class InfluenceSystem:
                  request: InfluenceRequest) -> None:
         start = time.perf_counter()
         self.request = request
+        self.config = (request.solver_config
+                       or solvers.default_solver_config(request.solver))
         self.rhs = build_rhs(spec, theta, dataset, view, request)
         self.operator = solvers.DampedHessianOperator(
             spec, theta, dataset.features, labels_of(dataset, view),
-            lam=request.damping)
+            lam=request.damping, dtype=solvers.cache_dtype(self.config))
         self.build_time = time.perf_counter() - start
 
     def solve(self, b: np.ndarray) -> solvers.SolveResult:
@@ -169,9 +173,7 @@ class InfluenceSystem:
         :class:`solvers.SolverNotConvergedError`, carrying the best
         iterate, when the solver cannot reach its tolerance.
         """
-        request = self.request
-        config = (request.solver_config
-                  or solvers.default_solver_config(request.solver))
+        request, config = self.request, self.config
         result = solvers.solve(request.solver, self.operator, b, config)
         if not result.converged:
             raise solvers.SolverNotConvergedError(

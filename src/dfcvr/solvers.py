@@ -51,6 +51,19 @@ class SolverConfig:
 # minimizer targets a looser residual. :func:`solve` dispatches on it.
 SOLVERS = {"cg": 1e-4, "neumann": 1e-4, "sq": 1e-2}
 
+# The precision rule: a solve to a relative residual of at least
+# FLOAT32_TOL runs its products on a float32 factor cache, whose error of
+# about 1e-7 relative sits three orders below that tolerance; a tighter
+# solve keeps float64, where a float32 cache would report residuals its
+# float64 operator does not have. Every registry default is at least
+# FLOAT32_TOL. Iterates, right-hand sides and residuals stay float64.
+FLOAT32_TOL = 1e-4
+
+
+def cache_dtype(config: SolverConfig) -> type:
+    """The factor cache's dtype for a solve at ``config``."""
+    return np.float32 if config.tol_rel_residual >= FLOAT32_TOL else np.float64
+
 
 # Rows per chunk of a full-batch HVP; chunks are accumulated in index order.
 HVP_BATCH_SIZE = 8192
@@ -112,7 +125,9 @@ class DampedHessianOperator:
     positive definite for ``lam > 0``. ``J``, the logit Jacobian at the
     fixed ``theta``, is cached once as layer factors; every product is
     then one matmul per layer each way (``models.ggn_from_factors``), in
-    minibatches of ``hvp_batch_size`` accumulated in index order.
+    minibatches of ``hvp_batch_size`` accumulated in index order. The
+    cache is stored as ``dtype`` (see :func:`cache_dtype`); products are
+    taken in it, and parts are accumulated, and damped, in float64.
     ``matvec_batch`` exposes the per-minibatch damped product for
     stochastic solvers; its expectation over uniform minibatches equals
     ``matvec``.
@@ -126,13 +141,14 @@ class DampedHessianOperator:
         y: np.ndarray,
         lam: float,
         hvp_batch_size: int = HVP_BATCH_SIZE,
+        dtype: type = np.float64,
     ) -> None:
         check_damping(lam)
         require("positive", hvp_batch_size=hvp_batch_size)
         self.spec = spec
         self.lam = lam
         self.hvp_batch_size = hvp_batch_size
-        self._factors = models.build_ggn_factors(spec, theta, x, y)
+        self._factors = models.build_ggn_factors(spec, theta, x, y, dtype)
 
     @property
     def dim(self) -> int:

@@ -538,8 +538,19 @@ def test_default_request_solves_the_scaled_fixture(record_property,
                                    data.Observed(t), request)
     assert result.converged
     assert result.residual_rel <= solvers.SOLVERS["cg"]
+    # The solve ran on a float32 factor cache; the residual it reports
+    # must also hold against the float64 operator.
+    b = influence.build_rhs(config.model, theta, splits.core,
+                            data.Observed(t), request).b
+    operator = solvers.DampedHessianOperator(
+        config.model, theta, splits.core.features,
+        data.labels_of(splits.core, data.Observed(t)), request.damping)
+    true_rel = float(np.linalg.norm(b - operator.matvec(result.delta))
+                     / np.linalg.norm(b))
+    assert true_rel <= solvers.SOLVERS["cg"]
     record_property(
         "detail",
         f"{result.iterations} cg iterations, residual "
-        f"{result.residual_rel:.1e}, {result.wall_time:.1f}s",
+        f"{result.residual_rel:.1e} (float64 {true_rel:.1e}), "
+        f"{result.wall_time:.1f}s",
     )

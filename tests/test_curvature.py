@@ -8,7 +8,9 @@ where the logit clamp binds, contiguous chunks and gathered rows. It is also
 checked for symmetry and positive semi-definiteness over drawn widths,
 and for equality with the exact Hessian (``hvp_from_state``) when the
 model has no hidden layers. The exact Hessian's symmetry is a property
-of its own.
+of its own. A float32 cache, built block by block, is checked byte for
+byte against one float64 sweep of every row, cast, and its products
+against the float64 operator's.
 """
 
 import numpy as np
@@ -248,3 +250,60 @@ class TestOperator:
         assert first.matvec(v).tobytes() == second.matvec(v).tobytes()
         assert (first.matvec_batch(v, rows).tobytes()
                 == second.matvec_batch(v, rows).tobytes())
+
+
+def _cast(factors, dtype):
+    return models.GgnFactors(*([a.astype(dtype) for a in arrays]
+                               for arrays in (factors.inputs,
+                                              factors.jacobians)),
+                             factors.h.astype(dtype))
+
+
+class TestFactorCache:
+    @pytest.mark.parametrize("n", [1, 2047, 2049, 5000])
+    def test_float32_blocks_are_the_one_sweep_cast(self, n):
+        spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
+        _, theta, x, y = _instance(12, spec, n=n)
+        blocked = models.build_ggn_factors(spec, theta, x, y, np.float32)
+        whole = _cast(models.build_ggn_factors(spec, theta, x, y),
+                      np.float32)
+        for got, want in zip(blocked.inputs + blocked.jacobians + [blocked.h],
+                             whole.inputs + whole.jacobians + [whole.h]):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_products_across_block_edges_are_the_one_sweep_cast(self):
+        spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
+        rng, theta, x, y = _instance(13, spec, n=5000)
+        blocked = models.build_ggn_factors(spec, theta, x, y, np.float32)
+        whole = _cast(models.build_ggn_factors(spec, theta, x, y),
+                      np.float32)
+        v = rng.standard_normal(theta.size)
+        edge = models.FACTOR_BLOCK
+        for rows in (None, slice(edge - 100, edge + 100),
+                     slice(1000, 4500), rng.permutation(5000)[:700],
+                     np.array([edge - 1, edge, 2 * edge, edge - 1, 4999])):
+            got, want = (models.ggn_from_factors(spec, f, v, rows)
+                         for f in (blocked, whole))
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        Mlp(20, (64, 64), 0.01), LogisticRegression(20, 0.01),
+    ], ids=["mlp", "logreg"])
+    def test_float32_products_agree_with_float64(self, spec):
+        rng, theta, x, y = _instance(14, spec, n=3000)
+        theta *= 0.3
+        v = rng.standard_normal(theta.size)
+        rows = rng.permutation(3000)[:512]
+        single, double = (
+            solvers.DampedHessianOperator(spec, theta, x, y, 2e-2,
+                                          hvp_batch_size=1024, dtype=dtype)
+            for dtype in (np.float32, np.float64))
+        for got, want in ((single.matvec(v), double.matvec(v)),
+                          (single.matvec_batch(v, rows),
+                           double.matvec_batch(v, rows))):
+            assert got.dtype == np.float64
+            assert got.tobytes() != want.tobytes()
+            assert (np.linalg.norm(got - want)
+                    <= 1e-6 * np.linalg.norm(want))

@@ -978,7 +978,10 @@ class TestCliExitCodes:
                 "offline": ["offline", "--config", str(path)]}[command]
         capsys.readouterr()
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err == f"dfcvr: error: {message}\n"
+        # A protocol names the stage that asked, as for its other errors.
+        prefix = {"generate": "dfcvr: error: ",
+                  "offline": "dfcvr: error in stage 'data': "}[command]
+        assert capsys.readouterr().err == f"{prefix}{message}\n"
         assert not (tmp_path / "huge.csv").exists()
 
     def test_solver_choices_are_the_registry(self, capsys):

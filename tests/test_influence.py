@@ -486,6 +486,59 @@ class TestDeltaTotal:
         assert np.mean(after - before) > 0.0
 
 
+class TestPrecision:
+    """A solve at tolerance 1e-4 or looser runs on a float32 factor cache;
+    a tighter one on float64, the bytes of a float64 operator's solve."""
+
+    def _system(self, tol):
+        dataset, flips = _delayed_dataset(seed=13, n=600, d=6, n_flip=8)
+        spec = models.Mlp(input_dim=6, hidden_dims=(8,), l2_coeff=1e-2)
+        theta = 0.3 * np.random.default_rng(0).standard_normal(
+            models.num_params(spec))
+        request = influence.InfluenceRequest(
+            reversal_indices=flips, solver="cg", damping=5e-2,
+            solver_config=solvers.SolverConfig(tol_rel_residual=tol))
+        system = influence.InfluenceSystem(spec, theta, dataset,
+                                           data.Observed(T), request)
+        return system, spec, theta, dataset
+
+    def _operator(self, spec, theta, dataset, dtype):
+        return solvers.DampedHessianOperator(
+            spec, theta, dataset.features,
+            data.labels_of(dataset, data.Observed(T)), 5e-2, dtype=dtype)
+
+    def test_tight_tolerance_solves_the_float64_operator(self):
+        system, spec, theta, dataset = self._system(1e-8)
+        reference = solvers.solve(
+            "cg", self._operator(spec, theta, dataset, np.float64),
+            system.rhs.b, system.config)
+        result = system.solve(system.rhs.b)
+        assert result.delta.tobytes() == reference.delta.tobytes()
+        assert result.residual_rel == reference.residual_rel
+
+    def test_default_tolerance_builds_a_float32_cache(self):
+        system, spec, theta, dataset = self._system(1e-4)
+        v = np.random.default_rng(1).standard_normal(system.operator.dim)
+        product = system.operator.matvec(v)
+        single, double = (self._operator(spec, theta, dataset, dtype)
+                          for dtype in (np.float32, np.float64))
+        assert product.tobytes() == single.matvec(v).tobytes()
+        assert product.tobytes() != double.matvec(v).tobytes()
+
+    @pytest.mark.parametrize("tol, dtype", [
+        (1e-2, np.float32), (1e-4, np.float32), (9.99e-5, np.float64),
+        (0.0, np.float64),
+    ])
+    def test_the_rule_is_the_tolerance(self, tol, dtype):
+        config = solvers.SolverConfig(tol_rel_residual=tol)
+        assert solvers.cache_dtype(config) is dtype
+
+    @pytest.mark.parametrize("kind", list(solvers.SOLVERS))
+    def test_every_registry_default_is_float32(self, kind):
+        config = solvers.default_solver_config(kind)
+        assert solvers.cache_dtype(config) is np.float32
+
+
 class TestApplyUpdate:
     def test_adds_delta(self):
         theta = np.array([1.0, 2.0, 3.0])
