@@ -260,10 +260,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _load_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
     config = ExperimentConfig.from_json_dict(raw)

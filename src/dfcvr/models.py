@@ -9,8 +9,8 @@ Gauss-Newton products, which updates solve with, read a cache of the
 logit Jacobian's layer factors instead: one matmul per layer each way,
 in the cache's precision, float64 or float32. Every array, a batch-sized
 sweep or a parameter-sized vector, is built by plain expressions; none is
-written into in place, but a float32 factor cache, which its build fills
-block by block before handing it out.
+written into in place, but the factor cache, which its build fills block
+by block before handing it out.
 
 Predictions, training and both caches read one forward sweep and one
 clamp rule: logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and
@@ -233,18 +233,11 @@ def build_state(
     return BatchState(inputs, deltas, h, losses)
 
 
-def _ggn_sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-               y: np.ndarray):
-    """The float64 factors of one batch: inputs, jacobians and h."""
-    layers, inputs, _, h, _ = _forward(spec, params, x, y)
-    ones = np.ones((len(h), 1))
-    return inputs, _backward(layers, inputs, ones)[:-1], h
-
-
-# Rows per block of a float32 factor build, whose float64 temporaries stay
-# small beside the cache. Over 29,192 rows at 20-64-64 the build raised
-# peak RSS by 33 MB in blocks of 2,048 rows, by 53 MB in blocks of 8,192
-# and by 93 MB as one float64 sweep cast afterwards.
+# Rows per block of a factor build, whose float64 temporaries stay small
+# beside the cache. Over 29,192 rows at 20-64-64 a float32 build raised
+# peak RSS by 37 MB in blocks of 2,048 rows, by 57 MB in blocks of 8,192
+# and by 103 MB in one block; a float64 build by 63, 83 and 130 MB, and
+# by 73 MB as one sweep kept as the cache (two BLAS threads).
 FACTOR_BLOCK = 2048
 
 
@@ -254,30 +247,26 @@ def build_ggn_factors(
 ) -> GgnFactors:
     """The factors of ``(x, y)`` at ``params``, stored as ``dtype``.
 
-    A float64 cache is one sweep over every row, ``x`` itself its first
-    input. Any other dtype is swept in blocks of ``FACTOR_BLOCK`` rows,
-    each cast into arrays allocated once, so that the cache never has a
-    float64 copy of every row beside it. Blocks would change a float64
-    cache's bytes: BLAS splits a product's rows between its threads by
-    the batch's length, and a row's last bit can follow the split.
+    The rows are swept in float64 blocks of ``FACTOR_BLOCK``, each cast
+    into arrays allocated once. The first input is ``x`` cast to
+    ``dtype``: a float64 cache holds ``x`` itself.
     """
-    if np.dtype(dtype) == np.float64:
-        return GgnFactors(*_ggn_sweep(spec, params, x, y))
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_features(spec, x)
     _check_labels(x, y)
     n = len(x)
-    inputs = [x.astype(dtype)]
+    inputs = [x.astype(dtype, copy=False)]
     inputs += [np.empty((n, width), dtype) for width in spec.hidden_dims]
     jacobians = [np.empty((n, width), dtype) for width in spec.hidden_dims]
     h = np.empty(n, dtype)
     for start in range(0, max(n, 1), FACTOR_BLOCK):
         rows = slice(start, start + FACTOR_BLOCK)
-        block, block_jacobians, block_h = _ggn_sweep(spec, params, x[rows],
-                                                     y[rows])
+        layers, block, _, block_h, _ = _forward(spec, params, x[rows],
+                                                y[rows])
+        block_jacobians = _backward(layers, block, np.ones((len(block_h), 1)))
         for cache, values in zip(inputs[1:] + jacobians + [h],
-                                 block[1:] + block_jacobians + [block_h]):
+                                 block[1:] + block_jacobians[:-1] + [block_h]):
             cache[rows] = values
     return GgnFactors(inputs, jacobians, h)
 

@@ -8,8 +8,9 @@ where the logit clamp binds, contiguous chunks and gathered rows. It is also
 checked for symmetry and positive semi-definiteness over drawn widths,
 and for equality with the exact Hessian (``hvp_from_state``) when the
 model has no hidden layers. The exact Hessian's symmetry is a property
-of its own. A float32 cache, built block by block, is checked byte for
-byte against one float64 sweep of every row, cast, and its products
+of its own. A cache built block by block is checked against the same
+build in one block: byte for byte at float32, to rounding at float64,
+where ``x`` itself is the first input. Float32 products are checked
 against the float64 operator's.
 """
 
@@ -252,41 +253,77 @@ class TestOperator:
                 == second.matvec_batch(v, rows).tobytes())
 
 
-def _cast(factors, dtype):
-    return models.GgnFactors(*([a.astype(dtype) for a in arrays]
-                               for arrays in (factors.inputs,
-                                              factors.jacobians)),
-                             factors.h.astype(dtype))
+def _one_block(monkeypatch, spec, theta, x, y, dtype):
+    """The same build in one block: one float64 sweep of every row, stored
+    as ``dtype``. The oracle of a cache built in blocks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "FACTOR_BLOCK", max(len(x), 1))
+        return models.build_ggn_factors(spec, theta, x, y, dtype)
+
+
+def _arrays(factors):
+    return factors.inputs + factors.jacobians + [factors.h]
+
+
+def _rows(rng):
+    """Row selections of a 5,000-row cache: every row, slices and
+    gathers, across block edges and within one block."""
+    edge = models.FACTOR_BLOCK
+    return (None, slice(edge - 100, edge + 100), slice(1000, 4500),
+            rng.permutation(5000)[:700],
+            np.array([edge - 1, edge, 2 * edge, edge - 1, 4999]))
 
 
 class TestFactorCache:
     @pytest.mark.parametrize("n", [1, 2047, 2049, 5000])
-    def test_float32_blocks_are_the_one_sweep_cast(self, n):
+    def test_float32_blocks_are_the_one_sweep_cast(self, monkeypatch, n):
         spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
         _, theta, x, y = _instance(12, spec, n=n)
         blocked = models.build_ggn_factors(spec, theta, x, y, np.float32)
-        whole = _cast(models.build_ggn_factors(spec, theta, x, y),
-                      np.float32)
-        for got, want in zip(blocked.inputs + blocked.jacobians + [blocked.h],
-                             whole.inputs + whole.jacobians + [whole.h]):
+        whole = _one_block(monkeypatch, spec, theta, x, y, np.float32)
+        for got, want in zip(_arrays(blocked), _arrays(whole)):
             assert got.dtype == np.float32 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_products_across_block_edges_are_the_one_sweep_cast(self):
+    def test_products_across_block_edges_are_the_one_sweep_cast(
+            self, monkeypatch):
         spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
         rng, theta, x, y = _instance(13, spec, n=5000)
         blocked = models.build_ggn_factors(spec, theta, x, y, np.float32)
-        whole = _cast(models.build_ggn_factors(spec, theta, x, y),
-                      np.float32)
+        whole = _one_block(monkeypatch, spec, theta, x, y, np.float32)
         v = rng.standard_normal(theta.size)
-        edge = models.FACTOR_BLOCK
-        for rows in (None, slice(edge - 100, edge + 100),
-                     slice(1000, 4500), rng.permutation(5000)[:700],
-                     np.array([edge - 1, edge, 2 * edge, edge - 1, 4999])):
+        for rows in _rows(rng):
             got, want = (models.ggn_from_factors(spec, f, v, rows)
                          for f in (blocked, whole))
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2047, 2049, 5000])
+    def test_float64_blocks_hold_x_and_agree_with_one_block(self,
+                                                             monkeypatch, n):
+        spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
+        _, theta, x, y = _instance(15, spec, n=n)
+        blocked = models.build_ggn_factors(spec, theta, x, y)
+        whole = _one_block(monkeypatch, spec, theta, x, y, np.float64)
+        assert blocked.inputs[0] is x
+        for got, want in zip(_arrays(blocked), _arrays(whole)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert (np.linalg.norm(got - want)
+                    <= 1e-15 * np.linalg.norm(want))
+
+    def test_float64_products_across_block_edges_agree_with_one_block(
+            self, monkeypatch):
+        spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=0.01)
+        rng, theta, x, y = _instance(16, spec, n=5000)
+        blocked = models.build_ggn_factors(spec, theta, x, y)
+        whole = _one_block(monkeypatch, spec, theta, x, y, np.float64)
+        v = rng.standard_normal(theta.size)
+        for rows in _rows(rng):
+            got, want = (models.ggn_from_factors(spec, f, v, rows)
+                         for f in (blocked, whole))
+            assert got.dtype == np.float64
+            assert (np.linalg.norm(got - want)
+                    <= 1e-15 * np.linalg.norm(want))
 
     @pytest.mark.parametrize("spec", [
         Mlp(20, (64, 64), 0.01), LogisticRegression(20, 0.01),

@@ -1032,6 +1032,13 @@ class TestCliExitCodes:
         assert cli.main(["offline", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["offline", "--config", str(path)]) == 1
+        assert (capsys.readouterr().err
+                == f"dfcvr: error: {path}: not valid UTF-8\n")
+
     def test_bad_data_file_is_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("click_ts,pay_ts,f0\n1,0,abc\n")
