@@ -13,11 +13,13 @@ written into in place, but the factor cache, which its build fills block
 by block before handing it out.
 
 Predictions, training and both caches read one forward sweep and one
-clamp rule: logits are clamped to ``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and
-probabilities clipped to ``[PROB_CLIP, 1 - PROB_CLIP]``; derivatives are
-zero where a clamp binds, so gradients stay consistent with the coded
-loss. The L2 penalty ``(l2_coeff / 2) * sum(W**2)`` covers weight matrices
-only, never biases.
+clamp rule. The sweep runs in the batch's precision: a float32 batch,
+a training step's, in float32 with the weights cast down to it, and
+every other batch in float64. The clamp rule: logits are clamped to
+``[-LOGIT_CLAMP, LOGIT_CLAMP]`` and probabilities clipped to
+``[PROB_CLIP, 1 - PROB_CLIP]``; derivatives are zero where a clamp binds,
+so gradients stay consistent with the coded loss. The L2 penalty
+``(l2_coeff / 2) * sum(W**2)`` covers weight matrices only, never biases.
 """
 
 from __future__ import annotations
@@ -171,10 +173,11 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
 def _sweep(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """The forward sweep of :func:`predict`, :func:`build_state` and
     :func:`build_ggn_factors`: the layers, each layer's input and the
-    logits. A hidden layer's ReLU mask is its output's ``> 0``: like the
+    logits, all in the batch's dtype, to which the weights are cast. A
+    hidden layer's ReLU mask is its output's ``> 0``: like the
     pre-activation's, it is false at NaN and at zero of either sign."""
     _check_features(spec, x)
-    layers = unpack_params(spec, params)
+    layers = unpack_params(spec, params.astype(x.dtype, copy=False))
     inputs = [x]
     z = x
     for w, b in layers[:-1]:
@@ -202,9 +205,13 @@ def _check_labels(x: np.ndarray, y: np.ndarray) -> None:
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
              y: np.ndarray):
     """The sweep and clamp rule on a labelled batch, with the loss and its
-    first two derivatives in the logit: layers, inputs, g, h and losses."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    first two derivatives in the logit: layers, inputs, g, h and losses.
+
+    A float32 batch, a training step's, is swept in float32; every other
+    batch in float64."""
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+    y = np.asarray(y, dtype=x.dtype)
     layers, inputs, logits = _sweep(spec, params, x)
     _check_labels(x, y)
     f, smooth = _link(logits)
@@ -280,11 +287,14 @@ def _grad_sum(state: BatchState) -> list[tuple[np.ndarray, np.ndarray]]:
 def loss_and_grad(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean BCE plus L2 penalty, and its gradient, over the batch."""
+    """Mean BCE plus L2 penalty, and its gradient, over the batch.
+
+    The batch is swept in its own precision (see :func:`_forward`); the
+    penalty, the loss's mean and the gradient are float64."""
     state = build_state(spec, params, x, y)
     layers = unpack_params(spec, params)
     reg = 0.5 * spec.l2_coeff * sum(float(np.sum(w * w)) for w, _ in layers)
-    loss = float(np.mean(state.losses)) + reg
+    loss = float(np.mean(state.losses, dtype=np.float64)) + reg
     grad = pack_params([(dw / state.n + spec.l2_coeff * w, db / state.n)
                         for (dw, db), (w, _) in zip(_grad_sum(state), layers)])
     return loss, grad

@@ -1,8 +1,11 @@
 """Minibatch Adam training with early stopping on validation log-loss.
 
 Minibatches come from ``optim.minibatches``, keyed by (seed, epoch), so
-the batch sequence is a pure function of the config and data. Training runs
-single-threaded over float64 arrays; reruns are bit-identical.
+the batch sequence is a pure function of the config and data. Each step
+sweeps its minibatch in float32 (``STEP_DTYPE``) against float64 master
+weights: the parameters, Adam's moments, the L2 term, the loss sum, the
+per-epoch validation ``predict``, early stopping and checkpoints are all
+float64. Reruns on one BLAS build and thread count are bit-identical.
 """
 
 from __future__ import annotations
@@ -15,9 +18,17 @@ import numpy as np
 
 from . import models
 from .data import Dataset, LabelView, labels_of
-from .errors import ConfigError, NumericalError, require, writing
+from .errors import (ConfigError, DataFormatError, NumericalError, require,
+                     writing)
 from .metrics import log_loss
 from .optim import Adam, minibatches
+
+# The precision of a training step's minibatch sweep. A 1,024-row
+# minibatch's gradient noise dwarfs float32's rounding of 6e-8, and a
+# gathered 1,024-row `loss_and_grad` of the 20-64-64 MLP took a median
+# 1.27 ms in float32 against 1.97 ms in float64 (2 vCPUs, two BLAS
+# threads, 1,200 calls each).
+STEP_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,15 @@ def train(
     if len(dataset) == 0 or len(valid) == 0:
         raise ConfigError("training and validation sets must be non-empty")
 
-    x = dataset.features
-    y = labels_of(dataset, view)
+    # Cast once per call; a feature past float32's range would be inf.
+    with np.errstate(over="ignore"):
+        x = dataset.features.astype(STEP_DTYPE)
+    if not np.isfinite(x).all():
+        raise DataFormatError(
+            "training features must not exceed float32's largest "
+            f"magnitude, {np.finfo(STEP_DTYPE).max:.8g}: training steps in "
+            "float32")
+    y = labels_of(dataset, view).astype(STEP_DTYPE)
     xv = valid.features
     yv = labels_of(valid, view)
 

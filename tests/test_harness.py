@@ -624,6 +624,11 @@ def _bad_input_argv(case, tmp_path):
     one_class_csv = tmp_path / "one_class.csv"
     one_class_csv.write_text("click_ts,pay_ts,f0,f1,f2,f3\n" + "".join(
         f"{5 * i},-1,0.5,0.25,-0.5,1.0\n" for i in range(200)))
+    # A core-window click with a feature finite in float64 and past
+    # float32's range, which training steps in.
+    past_float32_csv = tmp_path / "past_float32.csv"
+    with open(csv_path) as fh:
+        past_float32_csv.write_text(fh.read() + "5,-1,3.5e38,0.5,0.5,0.5\n")
     config = str(tmp_path / "config.json")
     with open(config, "w") as fh:
         hidden_dims = [] if case.endswith("without_widths_config") else [0]
@@ -742,6 +747,8 @@ def _bad_input_argv(case, tmp_path):
             "train", "--data", str(misnamed_csv), *train[3:]],
         "train_csv_negative_click": [
             "train", "--data", str(negative_click_csv), *train[3:]],
+        "train_feature_past_float32": [
+            "train", "--data", str(past_float32_csv), *train[3:]],
         "offline_unknown_model_kind_config": [
             "offline", "--config", str(cnn_config)],
         "evaluate_checkpoint_without_input_dim": evaluate,
@@ -811,6 +818,8 @@ _MESSAGE = {
         "misnamed.csv:1: feature columns must be named f0..f1",
     "train_csv_negative_click":
         "negative_click.csv:2: click_ts must be non-negative",
+    "train_feature_past_float32": "training features must not exceed "
+        "float32's largest magnitude, 3.4028235e+38",
     "offline_unknown_model_kind_config": "unknown model kind 'cnn'",
     "evaluate_checkpoint_without_input_dim": "bad model header",
     "offline_bad_seeds": "bad seeds list: '1,x'",

@@ -172,6 +172,41 @@ class TestGrad:
         assert not np.all(np.isfinite(models.bce_grad_sum(spec, theta, x, y)))
 
 
+class TestSweepPrecision:
+    """A float32 batch, a training step's, sweeps in float32; every other
+    batch, and every prediction, in float64."""
+
+    def _instance(self):
+        # Features exact in float32, so that a float64 sweep of the cast
+        # batch is the float64 batch's sweep, bit for bit.
+        rng = np.random.default_rng(12)
+        spec = Mlp(input_dim=6, hidden_dims=(16, 8), l2_coeff=1e-2)
+        theta, x, y = _random_instance(rng, spec, n=200)
+        return spec, theta, x.astype(np.float32).astype(np.float64), y
+
+    def test_a_float32_batch_gives_a_float64_gradient_near_float64s(self):
+        spec, theta, x, y = self._instance()
+        loss, g = models.loss_and_grad(spec, theta, x, y)
+        loss32, g32 = models.loss_and_grad(
+            spec, theta, x.astype(np.float32), y.astype(np.float32))
+        assert g32.dtype == np.float64
+        assert not np.array_equal(g32, g)
+        assert np.abs(g32 - g).max() <= 1e-5 * np.abs(g).max()
+        np.testing.assert_allclose(loss32, loss, rtol=1e-5)
+
+    def test_a_float32_batch_state_is_float32(self):
+        spec, theta, x, y = self._instance()
+        state = models.build_state(spec, theta, x.astype(np.float32), y)
+        assert {a.dtype for a in [*state.inputs, *state.deltas, state.h,
+                                  state.losses]} == {np.dtype(np.float32)}
+
+    def test_predict_sweeps_a_float32_batch_in_float64(self):
+        spec, theta, x, _ = self._instance()
+        scores = models.predict(spec, theta, x.astype(np.float32))
+        assert scores.dtype == np.float64
+        np.testing.assert_array_equal(scores, models.predict(spec, theta, x))
+
+
 class TestHvp:
     def test_zero_direction(self):
         rng = np.random.default_rng(6)

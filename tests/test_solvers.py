@@ -167,6 +167,16 @@ class CountingOperator:
         return self.inner.matvec(v)
 
 
+def _power_iteration(op, products):
+    """The Rayleigh quotient of ``op`` at its last normalized iterate."""
+    v = np.random.default_rng(0).standard_normal(op.dim)
+    for _ in range(products):
+        v = v / np.linalg.norm(v)
+        av = op.matvec(v)
+        quotient, v = v @ av, av
+    return quotient
+
+
 class TestTopEigenvalue:
     """The top Ritz value of the Lanczos tridiagonal built from cg's
     coefficients, the neumann series' spectral estimate."""
@@ -191,9 +201,10 @@ class TestTopEigenvalue:
             )
 
     def test_readme_scale_system_in_at_most_ten_products(self):
-        # The README MLP on fixture seed 0's core window. The expected
-        # values are 100 normalized power-iteration products' Rayleigh
-        # quotients on the same system.
+        # The README MLP on fixture seed 0's core window, against the
+        # Rayleigh quotient after 100 normalized power-iteration products
+        # on the same system. The trained theta, and so the value, moves
+        # in the last digits with the BLAS thread count.
         day = 86400
         log = data.generate_synthetic(data.SyntheticConfig(
             n=50_000, feature_dim=20, target_cvr=0.2227,
@@ -208,12 +219,13 @@ class TestTopEigenvalue:
                                  max_epochs=30, early_stop_patience=30),
             splits.fit_valid)
         y = data.labels_of(splits.core, labels)
-        for lam, expected in ((2e-2, 1.130083026), (1e-3, 1.111083026)):
+        for lam in (2e-2, 1e-3):
             op = CountingOperator(solvers.DampedHessianOperator(
                 spec, theta, splits.core.features, y, lam=lam))
             est = solvers._top_eigenvalue(op, 0)
             assert op.products <= 10
-            np.testing.assert_allclose(est, expected, rtol=1e-6)
+            np.testing.assert_allclose(est, _power_iteration(op.inner, 100),
+                                       rtol=1e-6)
 
 
 class TestNeumann:

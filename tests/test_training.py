@@ -1,6 +1,7 @@
 """Training-loop tests: convergence, determinism, early stopping, logging."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,52 @@ class TestEarlyStopping:
         with open(log_path, newline="") as fh:
             logged = [float(r["valid_log_loss"]) for r in csv.DictReader(fh)]
         assert returned_ll <= min(logged) + 1e-12
+
+
+class TestStepPrecision:
+    def test_steps_sweep_float32_batches_into_float64_parameters(
+        self, monkeypatch
+    ):
+        seen = []
+        loss_and_grad = models.loss_and_grad
+
+        def spy(spec, params, x, y):
+            seen.append((params.dtype, x.dtype, y.dtype))
+            return loss_and_grad(spec, params, x, y)
+
+        monkeypatch.setattr(models, "loss_and_grad", spy)
+        x, y = _blobs(seed=10, n=200)
+        dataset = _labeled_dataset(x, y)
+        spec = models.Mlp(input_dim=3, hidden_dims=(4,), l2_coeff=1e-3)
+        config = training.TrainConfig(batch_size=64, max_epochs=3,
+                                      early_stop_patience=3, seed=0)
+        params = training.train(dataset, data.Oracle(), spec, config,
+                                dataset)
+        assert len(seen) == 3 * 4
+        assert set(seen) == {(np.dtype(np.float64), np.dtype(np.float32),
+                              np.dtype(np.float32))}
+        assert params.dtype == np.float64
+
+    def test_a_feature_past_float32_range_fails_before_training(
+        self, monkeypatch
+    ):
+        def first_step(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(models, "loss_and_grad", first_step)
+        x, y = _blobs(seed=11, n=100)
+        x[7, 1] = -3.5e38  # finite in float64, inf in float32
+        dataset = _labeled_dataset(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DataFormatError,
+                match=r"^training features must not exceed float32's "
+                      r"largest magnitude, 3\.4028235e\+38: training "
+                      r"steps in float32$"):
+                training.train(dataset, data.Oracle(),
+                               models.LogisticRegression(input_dim=3),
+                               training.TrainConfig(), dataset)
 
 
 class TestTrainingLog:
